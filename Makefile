@@ -57,13 +57,14 @@ bench-baseline:
 	$(GO) run ./cmd/experiments -json
 
 # perf guards the wall-clock path (DESIGN.md §11): the zero-allocation
-# tests on the nvlog append and shard apply hot paths, then a short
-# pmperf run writing BENCH_wall.json (baseline vs pipelined + speedup).
-# Wall-clock numbers vary by host; the committed BENCH_wall.json is the
-# reference, CI uploads each run's report as an artifact.
+# tests on the nvlog append and shard apply hot paths, then a smoke run
+# (~65 s) of pmbench, the repo's benchmark (BENCHMARK.json, benchmark/):
+# four value-checked workloads writing benchmark/out/result.json.
+# Wall-clock numbers vary by host; benchmark/out/reference.json is the
+# committed reference, CI uploads each run's result as an artifact.
 perf:
 	$(GO) test ./internal/nvlog ./internal/server -run 'ZeroAlloc' -count=1
-	$(GO) run ./cmd/pmperf -conns 2 -window 16 -duration 500ms -o BENCH_wall.json
+	bash benchmark/run.sh -short
 
 # doctor is the flight-recorder smoke (DESIGN.md §12): boot a server,
 # push spanned traffic, capture a flight dump, and assert pmdoctor

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"pmemlog/internal/flight"
@@ -70,7 +69,7 @@ func run(args []string, out, errw io.Writer) int {
 	var an *flight.Analysis
 	var analyzeErr error
 	if !*noCheck && (len(d.InFlight) > 0 || len(d.Slow) > 0) {
-		an, analyzeErr = flight.Analyze(d, imageOpener(d, *dumpPath, *imagesDir))
+		an, analyzeErr = flight.Analyze(d, d.ImageOpener(*dumpPath, *imagesDir))
 		if analyzeErr != nil {
 			fmt.Fprintf(errw, "pmdoctor: analysis skipped: %v\n", analyzeErr)
 		}
@@ -128,46 +127,6 @@ func filterSpan(d *flight.Dump, id uint64) {
 	d.InFlight = keep(d.InFlight)
 	d.Slow = keep(d.Slow)
 	d.Events = d.Timeline(id)
-}
-
-// imageOpener resolves a shard index to its NVRAM image file. The
-// recorded ImagePath is tried as written (absolute paths from the
-// dying process), then rebased onto the dump's directory and the
-// -images override — dumps routinely travel away from the machine
-// that wrote them.
-func imageOpener(d *flight.Dump, dumpPath, imagesDir string) flight.ImageOpener {
-	return func(shard int) (io.ReadCloser, error) {
-		var recorded string
-		for _, st := range d.ShardStates {
-			if st.Shard == shard {
-				recorded = st.ImagePath
-				break
-			}
-		}
-		base := filepath.Base(recorded)
-		if recorded == "" {
-			base = fmt.Sprintf("shard-%03d.img", shard)
-		}
-		var candidates []string
-		if imagesDir != "" {
-			candidates = append(candidates, filepath.Join(imagesDir, base))
-		}
-		if recorded != "" {
-			candidates = append(candidates, recorded)
-		}
-		candidates = append(candidates, filepath.Join(filepath.Dir(dumpPath), base))
-		var firstErr error
-		for _, c := range candidates {
-			f, err := os.Open(c)
-			if err == nil {
-				return f, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return nil, firstErr
-	}
 }
 
 func printDump(out io.Writer, d *flight.Dump) {

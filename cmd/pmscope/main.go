@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,8 +82,9 @@ func run(args []string, out, errw io.Writer) int {
 		Metrics: scopeSeries(d.Metrics),
 	}
 	if !*noImages {
+		open := d.ImageOpener(*dumpPath, *imagesDir)
 		for _, st := range d.ShardStates {
-			sr, err := scanShard(&st, imageOpener(&st, *dumpPath, *imagesDir))
+			sr, err := scanShard(&st, open)
 			if err != nil {
 				rep.ImageErrors = append(rep.ImageErrors,
 					fmt.Sprintf("shard %d: %v", st.Shard, err))
@@ -216,43 +216,12 @@ func scopeSeries(metrics string) []Series {
 	return out
 }
 
-// imageOpener resolves one shard's NVRAM image, trying the recorded
-// path, the -images override, and the dump's own directory — the same
-// rebasing pmdoctor does, because dumps travel.
-func imageOpener(st *flight.ShardState, dumpPath, imagesDir string) func() (io.ReadCloser, error) {
-	return func() (io.ReadCloser, error) {
-		base := filepath.Base(st.ImagePath)
-		if st.ImagePath == "" {
-			base = fmt.Sprintf("shard-%03d.img", st.Shard)
-		}
-		var candidates []string
-		if imagesDir != "" {
-			candidates = append(candidates, filepath.Join(imagesDir, base))
-		}
-		if st.ImagePath != "" {
-			candidates = append(candidates, st.ImagePath)
-		}
-		candidates = append(candidates, filepath.Join(filepath.Dir(dumpPath), base))
-		var firstErr error
-		for _, c := range candidates {
-			f, err := os.Open(c)
-			if err == nil {
-				return f, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return nil, firstErr
-	}
-}
-
 // scanShard reads one shard's image and prices its durable log.
-func scanShard(st *flight.ShardState, open func() (io.ReadCloser, error)) (*ShardResidency, error) {
+func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency, error) {
 	if len(st.LogBases) == 0 {
 		return nil, fmt.Errorf("no log regions recorded")
 	}
-	rc, err := open()
+	rc, err := open(st.Shard)
 	if err != nil {
 		return nil, err
 	}

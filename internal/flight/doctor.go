@@ -3,6 +3,8 @@ package flight
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"pmemlog/internal/mem"
@@ -118,6 +120,48 @@ func (a *Analysis) AckedLoss() int {
 // image fully into memory; the on-disk file is never mutated even
 // though the recovery pass scrubs its working copy's log metadata.
 type ImageOpener func(shard int) (io.ReadCloser, error)
+
+// ImageOpener resolves a shard index to its NVRAM image file, for a
+// dump loaded from dumpPath. Dumps routinely travel away from the
+// machine that wrote them, so the recorded file name is looked for in
+// imagesDir (the tools' -images override, when non-empty) first, then
+// at the recorded path as written (absolute paths from the dying
+// process), then next to the dump. A shard the dump has no record of
+// falls back to the server's shard-NNN.img naming.
+func (d *Dump) ImageOpener(dumpPath, imagesDir string) ImageOpener {
+	return func(shard int) (io.ReadCloser, error) {
+		var recorded string
+		for _, st := range d.ShardStates {
+			if st.Shard == shard {
+				recorded = st.ImagePath
+				break
+			}
+		}
+		base := filepath.Base(recorded)
+		if recorded == "" {
+			base = fmt.Sprintf("shard-%03d.img", shard)
+		}
+		var candidates []string
+		if imagesDir != "" {
+			candidates = append(candidates, filepath.Join(imagesDir, base))
+		}
+		if recorded != "" {
+			candidates = append(candidates, recorded)
+		}
+		candidates = append(candidates, filepath.Join(filepath.Dir(dumpPath), base))
+		var firstErr error
+		for _, c := range candidates {
+			f, err := os.Open(c)
+			if err == nil {
+				return f, nil
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+		return nil, firstErr
+	}
+}
 
 // Analyze cross-checks a dump against the shards' NVRAM log images:
 // for every in-flight span with an attributed transaction — and every

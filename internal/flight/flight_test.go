@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -244,5 +245,73 @@ func TestStageDurations(t *testing.T) {
 	}
 	if LatStageName(-1) != "unknown" || LatStageName(NumLatStages) != "unknown" {
 		t.Fatal("out-of-range stage names must be unknown")
+	}
+}
+
+// TestImageOpenerResolutionOrder pins where a dump's shard images are
+// looked for: the -images override, then the recorded path, then the
+// dump's own directory; an unrecorded shard falls back to the server's
+// file naming.
+func TestImageOpenerResolutionOrder(t *testing.T) {
+	root := t.TempDir()
+	dir := func(name string) string {
+		d := filepath.Join(root, name)
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	recordedDir, imagesDir, dumpDir := dir("recorded"), dir("images"), dir("dump")
+	place := func(d, base string) {
+		if err := os.WriteFile(filepath.Join(d, base), []byte(filepath.Base(d)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		shard     int
+		files     map[string]string // directory → file name placed there
+		imagesDir string
+		want      string // directory whose copy must be opened; "" = error
+	}{
+		{"override beats recorded and dump dir", 0,
+			map[string]string{imagesDir: "s0.img", recordedDir: "s0.img", dumpDir: "s0.img"}, imagesDir, "images"},
+		{"recorded path beats dump dir", 0,
+			map[string]string{recordedDir: "s0.img", dumpDir: "s0.img"}, "", "recorded"},
+		{"override set but empty falls through to recorded", 0,
+			map[string]string{recordedDir: "s0.img"}, imagesDir, "recorded"},
+		{"dump dir is the last resort", 0,
+			map[string]string{dumpDir: "s0.img"}, "", "dump"},
+		{"unrecorded shard uses the server's naming", 7,
+			map[string]string{dumpDir: "shard-007.img"}, "", "dump"},
+		{"nothing anywhere is an error", 0, nil, imagesDir, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, d := range []string{recordedDir, imagesDir, dumpDir} {
+				for _, base := range []string{"s0.img", "shard-007.img"} {
+					os.Remove(filepath.Join(d, base))
+				}
+			}
+			for d, base := range tc.files {
+				place(d, base)
+			}
+			d := &Dump{ShardStates: []ShardState{{Shard: 0, ImagePath: filepath.Join(recordedDir, "s0.img")}}}
+			rc, err := d.ImageOpener(filepath.Join(dumpDir, "flight-dump.json"), tc.imagesDir)(tc.shard)
+			if tc.want == "" {
+				if err == nil {
+					rc.Close()
+					t.Fatal("opened an image that exists nowhere")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			got, _ := io.ReadAll(rc)
+			if string(got) != tc.want {
+				t.Fatalf("opened the copy in %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -14,11 +14,10 @@
 //	                (drain the log/write-combining buffers first)
 //	lockdiscipline  copied locks, mixed atomic/plain field access, and
 //	                channel sends made while holding a mutex
-//	obshotpath      observability calls inside the server's shard request
-//	                loop restricted to the lock-free atomic handles
+//	obshotpath      observability calls inside functions marked
+//	                //pmlint:hot restricted to the lock-free atomic handles
 //	noallochotpath  no per-op heap allocation (make into locals, appends
-//	                onto fresh slices) in nvlog append/truncate or the
-//	                shard apply/store hot functions
+//	                onto fresh slices) inside functions marked //pmlint:hot
 //	chaosonly       fault-injection arming (chaos.New, SetChaos,
 //	                Config.Chaos writes) confined to the chaos plane,
 //	                cmd/pmchaos, and sim construction
@@ -200,6 +199,30 @@ func funcScopes(file *ast.File) []*ast.FuncDecl {
 	for _, decl := range file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 			out = append(out, fd)
+		}
+	}
+	return out
+}
+
+// hotDirective in a function's doc comment marks it as an audited hot
+// path: code that runs per request, per log record or per telemetry
+// tick, which obshotpath and noallochotpath hold to their rules. The
+// mark lives on the function so a rename or a new hot function cannot
+// fall out of coverage the way a name list in the analyzer could.
+const hotDirective = "//pmlint:hot"
+
+// hotFuncs yields the file's functions marked with hotDirective.
+func hotFuncs(file *ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, fd := range funcScopes(file) {
+		if fd.Doc == nil {
+			continue
+		}
+		for _, c := range fd.Doc.List {
+			if c.Text == hotDirective {
+				out = append(out, fd)
+				break
+			}
 		}
 	}
 	return out

@@ -3,18 +3,18 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Noallochotpath polices heap allocation on the paper-critical hot
-// paths: the circular-log append/truncate machinery (internal/nvlog),
-// the shard request loop with its store (internal/server), and the pulse
-// telemetry snapshotters (internal/obs/pulse). Those paths carry every
-// persisted byte or run per request/interval while traffic lands, and
-// the repo's alloc-guard tests hold them to 0 allocs/op in steady state — a stray make() or a fresh-slice
-// append reintroduces per-op garbage that the tests only catch later, on
-// whichever machine runs them. The analyzer catches the two recurring
-// shapes at build time:
+// paths, the functions marked //pmlint:hot: the circular-log
+// append/truncate machinery (internal/nvlog), the shard request loop
+// with its store (internal/server), and the pulse telemetry
+// snapshotters (internal/obs/pulse). Those paths carry every persisted
+// byte or run per request/interval while traffic lands, and the repo's
+// alloc-guard tests hold them to 0 allocs/op in steady state — a stray
+// make() or a fresh-slice append reintroduces per-op garbage that the
+// tests only catch later, on whichever machine runs them. The analyzer
+// catches the two recurring shapes at build time:
 //
 //   - make() whose result lands in a local: per-op allocation. Growing a
 //     receiver-owned scratch field (x.buf = make(...), behind a cap
@@ -32,92 +32,10 @@ var Noallochotpath = &Analyzer{
 	Run:  runNoallochotpath,
 }
 
-// allocHotFuncs names the hot functions per package-path suffix: the
-// code executed per log append / per shard request in steady state.
-var allocHotFuncs = map[string]map[string]bool{
-	"internal/nvlog": {
-		"Log.PrepareAppend": true,
-		"Log.Truncate":      true,
-	},
-	"internal/server": {
-		"shard.collect":         true,
-		"shard.runBatch":        true,
-		"shard.apply":           true,
-		"shard.publishLogState": true,
-		"Server.observeFinish":  true,
-		"Server.sampleShard":    true,
-		"store.find":            true,
-		"store.get":             true,
-		"store.writeNode":       true,
-		"store.applyPut":        true,
-		"store.applyDel":        true,
-		"store.put":             true,
-		"store.del":             true,
-		"store.txn":             true,
-	},
-	// The flight recorder's request path runs once per request inside the
-	// conn reader / shard loop / conn writer; its contract is atomic
-	// stores on preallocated slots only.
-	"internal/flight": {
-		"Table.Acquire":     true,
-		"Table.Finish":      true,
-		"Span.Begin":        true,
-		"Span.Mark":         true,
-		"Span.SetTxn":       true,
-		"Span.SetLogWindow": true,
-		"Span.SnapshotInto": true,
-		"Span.StageNS":      true,
-	},
-	// The pulse collector ticks every interval and is offered every
-	// finished request; both write into preallocated ring slots and
-	// scratch snapshots only (init() does the one-time allocation).
-	"internal/obs/pulse": {
-		"Collector.Tick":         true,
-		"Collector.NoteFinished": true,
-	},
-	// The scope cost ledger is bumped per persistent store, per log
-	// record, and per write-back inside the shard loop; its sketches are
-	// fixed arrays cleared by an epoch bump, so nothing there may
-	// materialize a slice or map.
-	"internal/obs/scope": {
-		"Counters.NoteLogBytes":  true,
-		"Counters.NoteStore":     true,
-		"Counters.NoteTxnCommit": true,
-		"Counters.NoteDataWB":    true,
-		"Counters.NoteForcedWB":  true,
-		"Counters.NoteDirtied":   true,
-		"Counters.NoteScan":      true,
-		"LineSketch.Touch":       true,
-		"LineSketch.Remove":      true,
-		"LineSketch.Clear":       true,
-	},
-}
-
-// allocHotFuncsFor returns the hot-function set for pkgPath, nil if the
-// package has no audited hot path. Suffix matching keeps the rule
-// applicable to fixture trees, which mirror the real layout under a
-// different root.
-func allocHotFuncsFor(pkgPath string) map[string]bool {
-	for suffix, funcs := range allocHotFuncs {
-		if pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix) {
-			return funcs
-		}
-	}
-	return nil
-}
-
 func runNoallochotpath(pass *Pass) {
-	hot := allocHotFuncsFor(pass.Pkg.Path())
-	if hot == nil {
-		return
-	}
 	for _, file := range pass.Files {
-		for _, fd := range funcScopes(file) {
-			name := funcName(fd)
-			if !hot[name] {
-				continue
-			}
-			checkAllocFree(pass, fd, name)
+		for _, fd := range hotFuncs(file) {
+			checkAllocFree(pass, fd, funcName(fd))
 		}
 	}
 }

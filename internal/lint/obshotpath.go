@@ -11,66 +11,19 @@ import (
 // (chaosonly, effects); obshotpath itself matches by path suffix.
 const serverPkg = "pmemlog/internal/server"
 
-// Obshotpath polices the observability calls inside the audited hot
-// loops: the server's shard request loop and the pulse collector's
-// per-interval tick. A shard goroutine serializes every write to its
-// simulated machine, and the pulse ticker samples every tracked series
-// while requests land: anything that blocks there — a registry lookup
-// taking the registration mutex, a Snapshot allocating per record —
-// stalls clients or tears a window. Only the all-atomic handle fast
-// paths are allowed; registration and rendering belong in setup code
-// or the stats/doc path.
+// Obshotpath polices the observability calls inside the functions
+// marked //pmlint:hot — the server's shard request loop, the pulse
+// collector's per-interval tick, the scope ledger. A shard goroutine
+// serializes every write to its simulated machine, and the pulse ticker
+// samples every tracked series while requests land: anything that
+// blocks there — a registry lookup taking the registration mutex, a
+// Snapshot allocating per record — stalls clients or tears a window.
+// Only the all-atomic handle fast paths are allowed; registration and
+// rendering belong in setup code or the stats/doc path.
 var Obshotpath = &Analyzer{
 	Name: "obshotpath",
 	Doc:  "inside server shard loops and pulse snapshotters, only lock-free allocation-free obs calls (Counter.Add/Inc/Value, Gauge.Set/Add, Histogram.Observe/SnapshotInto, HistogramSnapshot.DeltaSince, Tracer.Emit/EmitSpan/Enabled)",
 	Run:  runObshotpath,
-}
-
-// obsHotFuncsByPkg names the audited hot functions per package-path
-// suffix (suffix-matched so fixture trees mirroring the layout under a
-// different root get the same rules): per shard request for the
-// server, per window tick / per finished request for pulse.
-var obsHotFuncsByPkg = map[string]map[string]bool{
-	"internal/server": {
-		"shard.loop":            true,
-		"shard.collect":         true,
-		"shard.drain":           true,
-		"shard.runBatch":        true,
-		"shard.apply":           true,
-		"shard.publishLogState": true,
-		"Server.observeFinish":  true,
-		"Server.sampleShard":    true,
-	},
-	"internal/obs/pulse": {
-		"Collector.Tick":         true,
-		"Collector.NoteFinished": true,
-	},
-	// The scope ledger's Note* methods run per store / per log record /
-	// per write-back inside the shard loop; the sketch operations back
-	// them. Nothing there may touch the locking registry surface.
-	"internal/obs/scope": {
-		"Counters.NoteLogBytes":  true,
-		"Counters.NoteStore":     true,
-		"Counters.NoteTxnCommit": true,
-		"Counters.NoteDataWB":    true,
-		"Counters.NoteForcedWB":  true,
-		"Counters.NoteDirtied":   true,
-		"Counters.NoteScan":      true,
-		"LineSketch.Touch":       true,
-		"LineSketch.Remove":      true,
-		"LineSketch.Clear":       true,
-	},
-}
-
-// obsHotFuncsFor returns the hot-function set for pkgPath, nil if the
-// package has no audited hot path.
-func obsHotFuncsFor(pkgPath string) map[string]bool {
-	for suffix, funcs := range obsHotFuncsByPkg {
-		if pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix) {
-			return funcs
-		}
-	}
-	return nil
 }
 
 // isObsPkg reports whether path is the metrics registry package (the
@@ -114,16 +67,9 @@ func obsRecvName(fn *types.Func) string {
 }
 
 func runObshotpath(pass *Pass) {
-	hotFuncs := obsHotFuncsFor(pass.Pkg.Path())
-	if hotFuncs == nil {
-		return
-	}
 	for _, file := range pass.Files {
-		for _, fd := range funcScopes(file) {
+		for _, fd := range hotFuncs(file) {
 			hot := funcName(fd)
-			if !hotFuncs[hot] {
-				continue
-			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

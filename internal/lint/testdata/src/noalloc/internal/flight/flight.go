@@ -12,12 +12,16 @@ type Span struct {
 }
 
 // Begin is hot: arming a preallocated slot must not allocate.
+//
+//pmlint:hot
 func (sp *Span) Begin(id uint64) {
 	sp.id = id
 	sp.notes = sp.notes[:0]
 }
 
 // Mark is hot: a fresh per-mark buffer flags.
+//
+//pmlint:hot
 func (sp *Span) Mark(stage int) {
 	buf := make([]byte, 8) // want "make\\(\\) into a local inside hot function Span.Mark"
 	buf[0] = byte(stage)
@@ -38,6 +42,8 @@ type Table struct {
 
 // Acquire is hot: handing out a preallocated slot is fine; growing the
 // table per request is not.
+//
+//pmlint:hot
 func (t *Table) Acquire(id uint64) *Span {
 	if t.next >= len(t.slots) {
 		t.slots = append([]Span{}, t.slots...) // want "append onto a freshly allocated slice inside hot function Table.Acquire"
@@ -50,6 +56,8 @@ func (t *Table) Acquire(id uint64) *Span {
 }
 
 // Finish is hot: the slow capture must reuse the preallocated ring.
+//
+//pmlint:hot
 func (t *Table) Finish(sp *Span, slow bool) {
 	if slow {
 		sp.snapshotInto(&t.slow[0])

@@ -17,6 +17,8 @@ type Log struct {
 func (l *Log) metaWrite() Write { return Write{Addr: 0, Bytes: l.scratchSlot[:32]} }
 
 // PrepareAppend is a hot function: scratch reuse passes, fresh slices flag.
+//
+//pmlint:hot
 func (l *Log) PrepareAppend(payload []byte) ([]Write, error) {
 	writes := l.scratchWrites[:0]                // reslice of a field: reuses capacity
 	writes = append(writes, Write{Addr: l.tail}) // append onto the local: fine
@@ -29,6 +31,8 @@ func (l *Log) PrepareAppend(payload []byte) ([]Write, error) {
 }
 
 // Truncate is hot too; a waived allocation stays quiet.
+//
+//pmlint:hot
 func (l *Log) Truncate(n uint64) []Write {
 	//pmlint:allow noallochotpath
 	tmp := make([]Write, 0, n)

@@ -16,6 +16,8 @@ type Collector struct {
 
 // Tick is hot: the delta is written into the preallocated ring slot in
 // place; materializing per-tick buffers flags.
+//
+//pmlint:hot
 func (c *Collector) Tick() {
 	w := &c.ring[c.pos%len(c.ring)]
 	for i := range w.ops {
@@ -28,6 +30,8 @@ func (c *Collector) Tick() {
 }
 
 // NoteFinished is hot: offering an exemplar reuses the scratch slot.
+//
+//pmlint:hot
 func (c *Collector) NoteFinished(latNS int64) {
 	c.scratch = c.scratch[:0]
 	c.scratch = append(c.scratch, uint64(latNS))

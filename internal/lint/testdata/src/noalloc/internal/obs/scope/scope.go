@@ -16,6 +16,8 @@ type LineSketch struct {
 }
 
 // Touch is hot: probing the fixed array allocates nothing.
+//
+//pmlint:hot
 func (s *LineSketch) Touch(tag uint64) bool {
 	for p := uint64(0); p < 4; p++ {
 		sl := &s.slots[(tag+p)&15]
@@ -31,6 +33,8 @@ func (s *LineSketch) Touch(tag uint64) bool {
 }
 
 // Clear is hot: the O(1) epoch bump must never rebuild the array.
+//
+//pmlint:hot
 func (s *LineSketch) Clear() {
 	s.epoch++
 	stale := make([]uint64, len(s.slots)) // want "make\\(\\) into a local inside hot function LineSketch.Clear"
@@ -45,6 +49,8 @@ type Counters struct {
 }
 
 // NoteStore is hot: field bumps and sketch probes only.
+//
+//pmlint:hot
 func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 	c.payload += payloadBytes
 	c.txnLines.Touch(handle ^ line)
@@ -52,6 +58,8 @@ func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 
 // NoteTxnCommit is hot: folding the per-txn ratio must not journal
 // per-commit state into a fresh slice.
+//
+//pmlint:hot
 func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 	c.txnLines.Clear()
 	c.scratch = append([]uint64{}, logBytes/payloadBytes) // want "append onto a freshly allocated slice inside hot function Counters.NoteTxnCommit"

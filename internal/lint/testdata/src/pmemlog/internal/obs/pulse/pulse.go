@@ -17,6 +17,8 @@ type Collector struct {
 }
 
 // Tick closes one window: the hot path under analysis.
+//
+//pmlint:hot
 func (c *Collector) Tick() {
 	c.hist.SnapshotInto(&c.cur)
 	c.cur.DeltaSince(&c.prev, &c.out)
@@ -31,6 +33,8 @@ func (c *Collector) Tick() {
 }
 
 // NoteFinished offers one finished request as a tail exemplar: hot.
+//
+//pmlint:hot
 func (c *Collector) NoteFinished(latNS int64) {
 	c.reqs.Inc()
 	c.hist.Observe(uint64(latNS))

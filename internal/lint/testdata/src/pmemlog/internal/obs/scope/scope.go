@@ -12,9 +12,13 @@ type LineSketch struct {
 }
 
 // Touch is hot: pure array probing, no obs surface at all.
+//
+//pmlint:hot
 func (s *LineSketch) Touch(tag uint64) bool { return tag == s.epoch }
 
 // Clear is hot: the O(1) epoch bump.
+//
+//pmlint:hot
 func (s *LineSketch) Clear() { s.epoch++ }
 
 // Counters is the per-machine cost ledger under analysis.
@@ -28,6 +32,8 @@ type Counters struct {
 }
 
 // NoteStore is hot: plain field bumps and allowed atomic handles only.
+//
+//pmlint:hot
 func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 	c.payload += payloadBytes
 	c.debug.Inc()
@@ -38,6 +44,8 @@ func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 
 // NoteTxnCommit is hot: retiring the line set must stay an epoch bump;
 // registry lookups belong in setup.
+//
+//pmlint:hot
 func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 	c.txnLines.Clear()
 	h := c.reg.Histogram("txn_amp", "", "") // want "obs.Registry.Histogram inside hot function Counters.NoteTxnCommit"
@@ -45,6 +53,8 @@ func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 }
 
 // NoteScan is hot: a value snapshot allocates per call and flags.
+//
+//pmlint:hot
 func (c *Counters) NoteScan() {
 	c.snap = c.hist.Snapshot() // want "obs.Histogram.Snapshot inside hot function Counters.NoteScan"
 	c.hist.SnapshotInto(&c.snap)

@@ -27,12 +27,15 @@ type shard struct {
 }
 
 // loop is the shard worker: the hot path under analysis.
+//
+//pmlint:hot
 func (sh *shard) loop() {
 	for i := 0; i < 4; i++ {
 		sh.runBatch()
 	}
 }
 
+//pmlint:hot
 func (sh *shard) runBatch() {
 	if sh.tracer.Enabled() {
 		sh.tracer.Emit(sh.id, 0, 0, 0, 0)
@@ -50,6 +53,7 @@ func (sh *shard) runBatch() {
 	h.Observe(1)
 }
 
+//pmlint:hot
 func (sh *shard) apply() {
 	sh.hist.Observe(3)
 	sh.reg.Counter("reqs", "", "").Inc() // want "obs.Registry.Counter inside hot function shard.apply"
@@ -57,6 +61,7 @@ func (sh *shard) apply() {
 	sh.tracer.Reset()                    // want "obs.Tracer.Reset inside hot function shard.apply"
 }
 
+//pmlint:hot
 func (sh *shard) drain() {
 	_ = obs.NewRegistry() // want "obs.NewRegistry inside hot function shard.drain"
 }
@@ -75,7 +80,22 @@ func (sh *shard) metricsResponse(w io.Writer) error {
 }
 
 // waived is suppressed one line at a time.
+//
+//pmlint:hot
 func (sh *shard) collect() {
 	//pmlint:allow obshotpath
 	_ = sh.reg.Gauge("depth", "", "")
+}
+
+// publish and publishUnmarked are the annotation pair: the same
+// violating body is flagged under the directive and silent without it,
+// whatever the function is called.
+//
+//pmlint:hot
+func (sh *shard) publish() {
+	_ = sh.tracer.RingStats() // want "obs.Tracer.RingStats inside hot function shard.publish"
+}
+
+func (sh *shard) publishUnmarked() {
+	_ = sh.tracer.RingStats()
 }

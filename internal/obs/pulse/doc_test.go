@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pmemlog/internal/obs"
+	"pmemlog/internal/obs/scope"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -16,32 +17,36 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // shard had run a known workload.
 func scopeSample(scale uint64) ShardSample {
 	return ShardSample{
-		QueueCap:           8,
-		LogHead:            40 * scale,
-		LogTail:            100 * scale,
-		LogCap:             4096,
-		Requests:           50 * scale,
-		Txns:               50 * scale,
-		LogAppends:         150 * scale,
-		LogTruncated:       40 * scale,
-		FwbScans:           2 * scale,
-		NVRAMWriteBytes:    9000 * scale,
-		PayloadBytes:       800 * scale,
-		LogUndoBytes:       800 * scale,
-		LogRedoBytes:       800 * scale,
-		LogHeaderBytes:     2000 * scale,
-		LogChecksumBytes:   200 * scale,
-		LogBusBytes:        4000 * scale,
-		DataBusBytes:       1280 * scale,
-		UpdateAppends:      100 * scale,
-		CoalescibleAppends: 25 * scale,
-		ForcedWB:           10 * scale,
-		NaturalWB:          10 * scale,
-		WastedForcedWB:     2 * scale,
-		FwbFlagged:         30 * scale,
-		TxnsMeasured:       50 * scale,
-		TxnAmpMilliSum:     240_000 * scale,
-		LiveRecords:        60 * scale,
+		QueueCap: 8,
+		Requests: 50 * scale,
+		Snapshot: scope.Snapshot{
+			LogHead:         40 * scale,
+			LogTail:         100 * scale,
+			LogCap:          4096,
+			Txns:            50 * scale,
+			LogAppends:      150 * scale,
+			LogTruncated:    40 * scale,
+			FwbScans:        2 * scale,
+			NVRAMWriteBytes: 9000 * scale,
+			LogBusBytes:     4000 * scale,
+			DataBusBytes:    1280 * scale,
+			FwbFlagged:      30 * scale,
+			LiveRecords:     60 * scale,
+			Ledger: scope.Ledger{
+				PayloadBytes:       800 * scale,
+				LogUndoBytes:       800 * scale,
+				LogRedoBytes:       800 * scale,
+				LogHeaderBytes:     2000 * scale,
+				LogChecksumBytes:   200 * scale,
+				UpdateAppends:      100 * scale,
+				CoalescibleAppends: 25 * scale,
+				DataWB:             20 * scale, // 10 forced + 10 natural
+				ForcedWB:           10 * scale,
+				WastedForcedWB:     2 * scale,
+				TxnsMeasured:       50 * scale,
+				TxnAmpMilliSum:     240_000 * scale,
+			},
+		},
 	}
 }
 
@@ -234,7 +239,8 @@ func TestScopeWrapForecast(t *testing.T) {
 	// Reclaim keeping pace exactly: the full forecast must go unknown
 	// (-1), never negative or zero.
 	c2, _, _, _, _ := newTestCollector(clk, shards, obs.NewRegistry())
-	cur = ShardSample{LogCap: capRecords}
+	cur = ShardSample{}
+	cur.LogCap = capRecords
 	for i := 0; i < 2; i++ {
 		cur.LogTail += appendsPS
 		cur.LogHead += appendsPS

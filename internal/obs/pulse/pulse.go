@@ -15,10 +15,10 @@
 // and per interval, not lifetime averages.
 //
 // Cost contract: every source read in Tick is an atomic load (registry
-// handles, loop-published shard state), every window slot is
-// preallocated on the first tick, and the steady-state tick allocates
-// nothing — guarded by TestPulseZeroAllocSteadyState, mirroring the
-// shard-apply and nvlog alloc guards.
+// handles) or one struct copy of a shard's published view, every window
+// slot is preallocated on the first tick, and the steady-state tick
+// allocates nothing — guarded by TestPulseZeroAllocSteadyState,
+// mirroring the shard-apply and nvlog alloc guards.
 package pulse
 
 import (
@@ -28,6 +28,7 @@ import (
 
 	"pmemlog/internal/flight"
 	"pmemlog/internal/obs"
+	"pmemlog/internal/obs/scope"
 )
 
 // MaxExemplars is the per-window capacity of the tail-exemplar capture:
@@ -35,46 +36,22 @@ import (
 // breakdown.
 const MaxExemplars = 4
 
-// ShardSample is one shard's loop-published pressure and activity view,
-// sampled by the collector each tick. The int fields are gauges (last
-// value wins); the uint64 fields are cumulative counters the window
-// differences into rates.
+// ShardSample is one shard's loop-published view, sampled by the
+// collector each tick and read as-is by every other consumer of shard
+// state: the machine's scope.Snapshot beside the shard loop's own
+// counters and queue gauges. The int fields, the log pointers and
+// LiveRecords are gauges (last value wins); the rest are cumulative
+// counters the window differences into rates.
 type ShardSample struct {
 	QueueLen int
 	QueueCap int
 
-	LogHead uint64
-	LogTail uint64
-	LogCap  uint64
-
 	Requests uint64
 	Batches  uint64
 	Saves    uint64
+	Keys     uint64 // gauge: live keys in the shard's store
 
-	Txns            uint64
-	LogAppends      uint64
-	LogTruncated    uint64
-	FwbScans        uint64
-	NVRAMWriteBytes uint64
-
-	// Scope (persistence-domain cost) counters; cumulative except
-	// LiveRecords, a gauge.
-	PayloadBytes       uint64
-	LogUndoBytes       uint64
-	LogRedoBytes       uint64
-	LogHeaderBytes     uint64
-	LogChecksumBytes   uint64
-	LogBusBytes        uint64
-	DataBusBytes       uint64
-	UpdateAppends      uint64
-	CoalescibleAppends uint64
-	ForcedWB           uint64
-	NaturalWB          uint64
-	WastedForcedWB     uint64
-	FwbFlagged         uint64
-	TxnsMeasured       uint64
-	TxnAmpMilliSum     uint64
-	LiveRecords        uint64
+	scope.Snapshot
 }
 
 // Config sizes a Collector.
@@ -84,7 +61,7 @@ type Config struct {
 	// Windows is the ring capacity of retained windows (default 64).
 	Windows int
 	// Shards is the per-shard series count; SampleShard is called with
-	// 0..Shards-1 each tick and must only read published atomics.
+	// 0..Shards-1 each tick and must only read the shard's published view.
 	Shards      int
 	SampleShard func(i int, out *ShardSample)
 	// NowNS is the telemetry clock (nanoseconds since server start).
@@ -198,8 +175,8 @@ type window struct {
 // Collector is the windowed aggregation engine. Track* registration
 // happens at setup, before the first Tick; Tick and the read side
 // (BuildDoc, ShardPressure) may race freely with the request path —
-// every source is atomic and the ring is mutex-guarded off the hot
-// path.
+// every source is atomic or a published copy, and the ring is
+// mutex-guarded off the hot path.
 type Collector struct {
 	cfg Config
 
@@ -285,6 +262,8 @@ func (c *Collector) init() {
 // Tick closes the current window: every tracked source is snapshotted,
 // differenced against the previous snapshot, and the delta written into
 // the ring slot in place. Steady-state allocation-free.
+//
+//pmlint:hot
 func (c *Collector) Tick() {
 	now := c.cfg.NowNS()
 	c.mu.Lock()
@@ -359,7 +338,7 @@ func (c *Collector) Tick() {
 		sw.updateAppends = satSub(cur.UpdateAppends, prev.UpdateAppends)
 		sw.coalescible = satSub(cur.CoalescibleAppends, prev.CoalescibleAppends)
 		sw.forcedWB = satSub(cur.ForcedWB, prev.ForcedWB)
-		sw.naturalWB = satSub(cur.NaturalWB, prev.NaturalWB)
+		sw.naturalWB = satSub(cur.NaturalWB(), prev.NaturalWB())
 		sw.wastedForcedWB = satSub(cur.WastedForcedWB, prev.WastedForcedWB)
 		sw.fwbFlagged = satSub(cur.FwbFlagged, prev.FwbFlagged)
 		sw.txnsMeasured = satSub(cur.TxnsMeasured, prev.TxnsMeasured)
@@ -386,6 +365,8 @@ func (c *Collector) Tick() {
 // full snapshot. Called by the conn writer just before the span is
 // recycled; the fast path is one atomic load when the request is not
 // tail-worthy. Allocation-free.
+//
+//pmlint:hot
 func (c *Collector) NoteFinished(sp *flight.Span, status byte, ackNS int64) {
 	if c == nil || sp == nil {
 		return

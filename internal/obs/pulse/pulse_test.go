@@ -53,8 +53,10 @@ func newTestCollector(clk *fakeClock, shards *testShards, reg *obs.Registry) (*C
 func TestPulseWindowedValues(t *testing.T) {
 	clk := &fakeClock{}
 	shards := &testShards{samples: make([]ShardSample, 2)}
-	shards.samples[0] = ShardSample{QueueCap: 64, LogCap: 1 << 20}
-	shards.samples[1] = ShardSample{QueueCap: 64, LogCap: 1 << 20}
+	for i := range shards.samples {
+		shards.samples[i].QueueCap = 64
+		shards.samples[i].LogCap = 1 << 20
+	}
 	c, opH, e2e, total, bad := newTestCollector(clk, shards, obs.NewRegistry())
 
 	// Window 1: 100 op completions at 1..100ns, one SLO violation,
@@ -225,7 +227,8 @@ func TestPulseExemplars(t *testing.T) {
 func TestPulseSchemaRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	shards := &testShards{samples: make([]ShardSample, 2)}
-	shards.samples[0] = ShardSample{QueueCap: 8, LogCap: 4096, LogTail: 1024, Requests: 7}
+	shards.samples[0] = ShardSample{QueueCap: 8, Requests: 7}
+	shards.samples[0].LogCap, shards.samples[0].LogTail = 4096, 1024
 	c, opH, e2e, total, bad := newTestCollector(clk, shards, obs.NewRegistry())
 	for v := uint64(1); v <= 50; v++ {
 		opH.Observe(v * 100)

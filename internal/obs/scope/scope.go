@@ -22,7 +22,8 @@
 // allocation-free and nil-receiver-safe (an unscoped machine pays one
 // branch per event), and the sketches are fixed arrays cleared by an
 // O(1) epoch bump. Guarded by TestScopeZeroAllocSteadyState and
-// machine-enforced by pmlint's noallochotpath/obshotpath maps.
+// machine-enforced by pmlint's noallochotpath/obshotpath rules on the
+// functions marked //pmlint:hot.
 package scope
 
 // Sketch geometry: a power-of-two slot array with a short linear
@@ -53,12 +54,16 @@ type LineSketch struct {
 
 // Clear empties the sketch in O(1) by advancing the epoch; stale slots
 // are reclaimed lazily by later inserts.
+//
+//pmlint:hot
 func (s *LineSketch) Clear() { s.epoch++ }
 
 // Touch inserts tag and reports whether it was already present this
 // epoch. A zero tag is remapped (0 marks a removed slot). When the
 // whole probe neighborhood is live with other tags the insert is
 // dropped and Touch reports false — a conservative miss.
+//
+//pmlint:hot
 func (s *LineSketch) Touch(tag uint64) bool {
 	if tag == 0 {
 		tag = 1
@@ -77,6 +82,8 @@ func (s *LineSketch) Touch(tag uint64) bool {
 }
 
 // Remove deletes tag if present this epoch, reporting whether it was.
+//
+//pmlint:hot
 func (s *LineSketch) Remove(tag uint64) bool {
 	if tag == 0 {
 		tag = 1
@@ -108,12 +115,10 @@ func mix(a, b uint64) uint64 {
 // collide with the per-txn (handle, line) tag space.
 const forcedSalt = 0x5CF0FCE5CF0FCE5
 
-// Counters is one machine's persistence-domain ledger: plain uint64
-// fields owned by the machine's driving goroutine (the shard loop).
-// Concurrent readers never touch it directly — the shard publishes a
-// snapshot through its atomics after each batch (publishLogState), the
-// same bridge the pulse sampler already uses.
-type Counters struct {
+// Ledger is the cumulative cost counters the Note* methods accumulate:
+// plain uint64 fields, declared here once and carried unchanged through
+// Counters (the writer side) and Snapshot (the published side).
+type Ledger struct {
 	// Log traffic by record byte class (what each NVRAM log byte paid
 	// for). Header also absorbs log metadata writes (head/tail persists,
 	// truncation pointers): bookkeeping, not values.
@@ -144,13 +149,76 @@ type Counters struct {
 	// integer-only on the hot path).
 	TxnsMeasured   uint64
 	TxnAmpMilliSum uint64
+}
+
+// NaturalWB returns the data write-backs not forced by the scanner
+// (evictions, clwb flushes, emergency flushes).
+func (l *Ledger) NaturalWB() uint64 {
+	if l.DataWB < l.ForcedWB {
+		return 0
+	}
+	return l.DataWB - l.ForcedWB
+}
+
+// Snapshot is the machine counter vocabulary, declared exactly once:
+// the ledger plus the counters and log pointers the machine's other
+// components keep. sim.System.Snapshot fills one, the server's shard
+// loop publishes it once per batch, and every concurrent reader (the
+// pulse sampler, /metrics, /healthz, flight dumps) sees that one value.
+// All fields are cumulative except the log pointers and LiveRecords,
+// which are gauges.
+type Snapshot struct {
+	Ledger
+
+	// Circular log window (record sequence numbers) and capacity: the
+	// primary region under distributed logging.
+	LogHead uint64
+	LogTail uint64
+	LogCap  uint64
+
+	Txns            uint64 // committed machine transactions
+	LogAppends      uint64 // undo+redo records appended
+	LogTruncated    uint64 // records reclaimed by head advance
+	FwbScans        uint64 // forced write-back scans completed
+	NVRAMWriteBytes uint64 // bytes written to simulated NVRAM
+
+	LogBusBytes  uint64 // all log-path bytes crossing the NVRAM bus
+	DataBusBytes uint64 // all data write-back bytes crossing the bus
+	FwbFlagged   uint64 // FLAG→FWB transitions in the scan FSM
+	LiveRecords  uint64 // gauge: records currently live in the log
+}
+
+// Counters is one machine's persistence-domain ledger plus the sketches
+// that feed it, owned by the machine's driving goroutine (the shard
+// loop). Concurrent readers never touch it: they see the Snapshot the
+// shard publishes after each batch.
+type Counters struct {
+	Ledger
 
 	txnLines LineSketch // (handle, line) tags of the open transactions
 	forced   LineSketch // lines force-flushed since the last scan
 }
 
+// LogBytes returns the total log traffic across byte classes.
+func (c *Counters) LogBytes() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.LogUndoBytes + c.LogRedoBytes + c.LogHeaderBytes + c.LogChecksumBytes
+}
+
+// NaturalWB is Ledger.NaturalWB for a possibly-nil (unscoped) machine.
+func (c *Counters) NaturalWB() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.Ledger.NaturalWB()
+}
+
 // NoteLogBytes accounts one log append's (or log metadata write's)
 // bytes by class. Hot path: called per record by the logging engine.
+//
+//pmlint:hot
 func (c *Counters) NoteLogBytes(undo, redo, header, checksum uint64) {
 	if c == nil {
 		return
@@ -164,6 +232,8 @@ func (c *Counters) NoteLogBytes(undo, redo, header, checksum uint64) {
 // NoteStore accounts one logged persistent store: payload bytes, the
 // update-append count, and line recurrence within the owning
 // transaction. Hot path: once per store.
+//
+//pmlint:hot
 func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 	if c == nil {
 		return
@@ -178,6 +248,8 @@ func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 // NoteTxnCommit folds one committed transaction's ledger into the
 // per-txn amplification mean and retires its line set. Transactions
 // that stored nothing are not measured (no denominator).
+//
+//pmlint:hot
 func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 	if c == nil || payloadBytes == 0 {
 		return
@@ -190,6 +262,8 @@ func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 // NoteDataWB accounts one data line write-back reaching NVRAM (forced
 // or natural — the memory controller cannot tell; the cache layer
 // marks the forced ones via NoteForcedWB).
+//
+//pmlint:hot
 func (c *Counters) NoteDataWB() {
 	if c == nil {
 		return
@@ -199,6 +273,8 @@ func (c *Counters) NoteDataWB() {
 
 // NoteForcedWB accounts one FWB-scanner-forced write-back of line and
 // arms the wasted-flush detector for it.
+//
+//pmlint:hot
 func (c *Counters) NoteForcedWB(line uint64) {
 	if c == nil {
 		return
@@ -210,6 +286,8 @@ func (c *Counters) NoteForcedWB(line uint64) {
 // NoteDirtied observes a line becoming dirty in a cache. A line the
 // scanner force-flushed and that re-dirties before the next scan made
 // that flush wasted traffic. Hot path: once per store.
+//
+//pmlint:hot
 func (c *Counters) NoteDirtied(line uint64) {
 	if c == nil {
 		return
@@ -221,26 +299,11 @@ func (c *Counters) NoteDirtied(line uint64) {
 
 // NoteScan marks an FWB scan pass starting: forced flushes from the
 // previous pass stop being candidates for the wasted-flush count.
+//
+//pmlint:hot
 func (c *Counters) NoteScan() {
 	if c == nil {
 		return
 	}
 	c.forced.Clear()
-}
-
-// LogBytes returns the total log traffic across byte classes.
-func (c *Counters) LogBytes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.LogUndoBytes + c.LogRedoBytes + c.LogHeaderBytes + c.LogChecksumBytes
-}
-
-// NaturalWB returns the data write-backs not forced by the scanner
-// (evictions, clwb flushes, emergency flushes).
-func (c *Counters) NaturalWB() uint64 {
-	if c == nil || c.DataWB < c.ForcedWB {
-		return 0
-	}
-	return c.DataWB - c.ForcedWB
 }

@@ -16,7 +16,7 @@ import (
 // (obs rings, metrics registry, shard queue/log pressure, in-flight and
 // slow span tables) and the /healthz readiness endpoint. The dump path
 // must work while the process is dying — it reads only atomics and
-// loop-published state, never enqueues to a possibly-dead shard.
+// the shards' published views, never enqueues to a possibly-dead shard.
 
 // FlightDumpPath is where panic/SIGTERM dumps land: next to the shard
 // images, so pmdoctor finds both halves of the evidence together.
@@ -33,7 +33,7 @@ func (s *Server) WriteFlightDump(path, reason string) error {
 	return flight.WriteDump(path, s.buildDump(reason))
 }
 
-// buildDump assembles the dump document from lock-free state only.
+// buildDump assembles the dump document without touching a shard loop.
 func (s *Server) buildDump(reason string) *flight.Dump {
 	d := &flight.Dump{
 		Reason:       reason,
@@ -53,24 +53,18 @@ func (s *Server) buildDump(reason string) *flight.Dump {
 		d.RingStats = s.tracer.RingStats()
 		d.Events = flight.ConvertEvents(s.tracer.Snapshot())
 	}
-	// The registry renders from plain atomics; the stats-probe gauges
-	// (key counts etc.) are skipped on purpose — a dump must not wait on
-	// a shard that may be wedged or mid-panic.
+	// The machine gauges come from the published views, so the dump
+	// carries them without waiting on a shard that may be wedged or
+	// mid-panic. Setting them takes the registry mutex, the one
+	// WritePrometheus below takes anyway; it guards map lookups only and
+	// is never held across a shard call.
+	s.viewGauges()
 	var buf bytes.Buffer
 	if err := s.reg.WritePrometheus(&buf); err == nil {
 		d.Metrics = buf.String()
 	}
 	for _, sh := range s.shards {
-		d.ShardStates = append(d.ShardStates, flight.ShardState{
-			Shard:     sh.id,
-			QueueLen:  len(sh.queue),
-			QueueCap:  cap(sh.queue),
-			LogHead:   sh.pubHead.Load(),
-			LogTail:   sh.pubTail.Load(),
-			LogCap:    sh.pubCap.Load(),
-			LogBases:  sh.logBases,
-			ImagePath: sh.imgPath,
-		})
+		d.ShardStates = append(d.ShardStates, sh.flightState())
 		// Merge the shard machine's own tracer (tx begin/commit, log
 		// appends, cache/controller events — cycle timestamps) behind the
 		// server's nanosecond request rings, ring indices remapped.
@@ -161,16 +155,12 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		rep.Status = "draining"
 	}
 	for _, sh := range s.shards {
-		st := flight.ShardState{
-			LogHead: sh.pubHead.Load(),
-			LogTail: sh.pubTail.Load(),
-			LogCap:  sh.pubCap.Load(),
-		}
+		st := sh.flightState()
 		rep.Shards = append(rep.Shards, healthShard{
 			Shard:     sh.id,
 			Attached:  sh.bootRep != nil,
-			QueueLen:  len(sh.queue),
-			QueueCap:  cap(sh.queue),
+			QueueLen:  st.QueueLen,
+			QueueCap:  st.QueueCap,
 			LogPass:   st.Pass(),
 			Occupancy: st.Occupancy(),
 		})

@@ -7,6 +7,7 @@ import (
 
 	"pmemlog/internal/flight"
 	"pmemlog/internal/obs"
+	"pmemlog/internal/obs/pulse"
 )
 
 // Observability wiring for the server: a metrics registry answering
@@ -95,33 +96,13 @@ func (s *Server) TracerRingNames() []string {
 func (s *Server) netRing() int { return s.cfg.Shards }
 
 // metricsResponse renders the Prometheus text-format document answered
-// to OpMetrics. Machine-level counters (keys, txns, log traffic) come
-// from a fresh stats probe of every shard and are published as gauges
-// set at render time; the request-path counters and latency histograms
-// are live registry handles updated in dispatch.
+// to OpMetrics: gauges set at render time (machine counters, tracer and
+// span accounting, the latest pulse window) beside the request-path
+// counters and latency histograms, which are live registry handles
+// updated in dispatch.
 func (s *Server) metricsResponse() Response {
-	snap, err := s.Stats()
-	if err != nil {
-		s.noteRetry()
-		return Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs}
-	}
-	set := func(name, labels, help string, v uint64) {
-		s.reg.Gauge(name, labels, help).Set(int64(v))
-	}
-	set("pmserver_connections_accepted", "", "TCP connections accepted since start", snap.Accepted)
-	set("pmserver_cross_shard_rejects", "", "TXN batches rejected for spanning shards", snap.CrossShard)
-	set("pmserver_keys", "", "live keys across all shards", snap.Keys)
-	set("pmserver_txns_committed", "", "transactions committed on the simulated machines", snap.Txns)
-	set("pmserver_log_appends", "", "undo+redo log records appended", snap.LogAppends)
-	set("pmserver_log_truncated", "", "log records reclaimed by truncation", snap.LogTrunc)
-	set("pmserver_fwb_scans", "", "force write-back scans completed", snap.FwbScans)
-	set("pmserver_nvram_write_bytes", "", "bytes written to simulated NVRAM", snap.NVRAMBytes)
-	for _, st := range snap.ShardStats {
-		lbl := fmt.Sprintf("shard=\"%d\"", st.ID)
-		set("pmserver_shard_queue_len", lbl, "requests waiting in the shard queue", uint64(st.QueueLen))
-		set("pmserver_shard_batches", lbl, "request batches executed", st.Batches)
-		set("pmserver_shard_saves", lbl, "atomic image saves taken", st.Saves)
-	}
+	s.viewGauges()
+	set := s.setGauge
 	for i, rs := range s.tracer.RingStats() {
 		name := "network"
 		if i < s.cfg.Shards {
@@ -134,13 +115,50 @@ func (s *Server) metricsResponse() Response {
 	set("pmserver_span_drops", "", "requests not span-tracked because the flight table was full", s.flight.Drops())
 	set("pmserver_spans_in_flight", "", "request spans currently in flight", uint64(s.flight.InFlightCount()))
 	set("pmserver_slow_spans_captured", "", "slow-request span snapshots retained by tail sampling", s.flight.SlowCaptured())
-	s.pulseGauges()
-	s.scopeGauges()
+	if d := s.pulse.BuildDoc(1); d.WindowsAggregated > 0 {
+		s.pulseGauges(d)
+		s.scopeGauges(d)
+	}
 	var buf bytes.Buffer
 	if err := s.reg.WritePrometheus(&buf); err != nil {
 		return Response{Status: StatusErr, Err: err.Error()}
 	}
 	return Response{Status: StatusOK, Val: buf.Bytes()}
+}
+
+// setGauge sets one render-time gauge, registering it on first use.
+func (s *Server) setGauge(name, labels, help string, v uint64) {
+	s.reg.Gauge(name, labels, help).Set(int64(v))
+}
+
+// viewGauges sets the machine-level gauges (keys, txns, log traffic,
+// per-shard queue/batches/saves) from each shard's published view — the
+// same values /pulse.json, /healthz and a flight dump read, and never a
+// probe that a full or wedged shard queue could refuse.
+func (s *Server) viewGauges() {
+	set := s.setGauge
+	set("pmserver_connections_accepted", "", "TCP connections accepted since start", s.accepted.Load())
+	set("pmserver_cross_shard_rejects", "", "TXN batches rejected for spanning shards", s.crossShard.Load())
+	var sum pulse.ShardSample
+	for _, sh := range s.shards {
+		v := sh.view()
+		sum.Keys += v.Keys
+		sum.Txns += v.Txns
+		sum.LogAppends += v.LogAppends
+		sum.LogTruncated += v.LogTruncated
+		sum.FwbScans += v.FwbScans
+		sum.NVRAMWriteBytes += v.NVRAMWriteBytes
+		lbl := fmt.Sprintf("shard=\"%d\"", sh.id)
+		set("pmserver_shard_queue_len", lbl, "requests waiting in the shard queue", uint64(v.QueueLen))
+		set("pmserver_shard_batches", lbl, "request batches executed", v.Batches)
+		set("pmserver_shard_saves", lbl, "atomic image saves taken", v.Saves)
+	}
+	set("pmserver_keys", "", "live keys across all shards", sum.Keys)
+	set("pmserver_txns_committed", "", "transactions committed on the simulated machines", sum.Txns)
+	set("pmserver_log_appends", "", "undo+redo log records appended", sum.LogAppends)
+	set("pmserver_log_truncated", "", "log records reclaimed by truncation", sum.LogTruncated)
+	set("pmserver_fwb_scans", "", "force write-back scans completed", sum.FwbScans)
+	set("pmserver_nvram_write_bytes", "", "bytes written to simulated NVRAM", sum.NVRAMWriteBytes)
 }
 
 // noteRetry bumps both the snapshot counter and the metrics series.

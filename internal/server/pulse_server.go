@@ -12,7 +12,7 @@ import (
 )
 
 // Pulse wiring: the server side of internal/obs/pulse. The collector
-// samples each shard's loop-published atomics on an interval ticker,
+// samples each shard's published view on an interval ticker,
 // the conn writers fold every finished spanned request into the stage
 // and end-to-end histograms (and offer it to the tail-exemplar
 // capture), and the HTTP listener serves the windowed document at
@@ -58,39 +58,12 @@ func (s *Server) initPulse() {
 // manually; the server's own ticker runs at Config.PulseInterval).
 func (s *Server) Pulse() *pulse.Collector { return s.pulse }
 
-// sampleShard reads one shard's loop-published view for the collector.
-// Atomic loads only — never blocks on or probes the shard loop.
+// sampleShard hands the collector one shard's published view. Never
+// blocks on or probes the shard loop.
+//
+//pmlint:hot
 func (s *Server) sampleShard(i int, out *pulse.ShardSample) {
-	sh := s.shards[i]
-	out.QueueLen = len(sh.queue)
-	out.QueueCap = cap(sh.queue)
-	out.LogHead = sh.pubHead.Load()
-	out.LogTail = sh.pubTail.Load()
-	out.LogCap = sh.pubCap.Load()
-	out.Requests = sh.pubRequests.Load()
-	out.Batches = sh.pubBatches.Load()
-	out.Saves = sh.pubSaves.Load()
-	out.Txns = sh.pubTxns.Load()
-	out.LogAppends = sh.pubLogAppends.Load()
-	out.LogTruncated = sh.pubLogTrunc.Load()
-	out.FwbScans = sh.pubFwbScans.Load()
-	out.NVRAMWriteBytes = sh.pubNVRAMBytes.Load()
-	out.PayloadBytes = sh.pubPayloadBytes.Load()
-	out.LogUndoBytes = sh.pubLogUndoBytes.Load()
-	out.LogRedoBytes = sh.pubLogRedoBytes.Load()
-	out.LogHeaderBytes = sh.pubLogHeaderBytes.Load()
-	out.LogChecksumBytes = sh.pubLogChecksumBytes.Load()
-	out.LogBusBytes = sh.pubLogBusBytes.Load()
-	out.DataBusBytes = sh.pubDataBusBytes.Load()
-	out.UpdateAppends = sh.pubUpdateAppends.Load()
-	out.CoalescibleAppends = sh.pubCoalescible.Load()
-	out.ForcedWB = sh.pubForcedWB.Load()
-	out.NaturalWB = sh.pubNaturalWB.Load()
-	out.WastedForcedWB = sh.pubWastedForcedWB.Load()
-	out.FwbFlagged = sh.pubFwbFlagged.Load()
-	out.TxnsMeasured = sh.pubTxnsMeasured.Load()
-	out.TxnAmpMilliSum = sh.pubTxnAmpMilliSum.Load()
-	out.LiveRecords = sh.pubLiveRecords.Load()
+	*out = s.shards[i].view()
 }
 
 // observeFinish folds one completed request into the latency series at
@@ -99,6 +72,8 @@ func (s *Server) sampleShard(i int, out *pulse.ShardSample) {
 // requests feed the e2e/stage/SLO series, so stage shares and the SLO
 // burn are computed over the same population the exemplars come from.
 // Hot path: allocation-free (the span snapshot is a stack scratch).
+//
+//pmlint:hot
 func (s *Server) observeFinish(cr *connReq) {
 	if h := s.opHist[cr.code]; h != nil {
 		h.Observe(uint64(time.Since(cr.start)))
@@ -167,11 +142,7 @@ func (s *Server) metricsHTTP(w http.ResponseWriter, _ *http.Request) {
 // gauges so one /metrics scrape carries windowed rates and quantiles
 // alongside the cumulative series. The registry stores int64: per-sec
 // rates are rounded, fractions are scaled to _milli (×1000).
-func (s *Server) pulseGauges() {
-	d := s.pulse.BuildDoc(1)
-	if d.WindowsAggregated == 0 {
-		return
-	}
+func (s *Server) pulseGauges(d *pulse.Doc) {
 	set := func(name, labels, help string, v int64) {
 		s.reg.Gauge(name, labels, help).Set(v)
 	}
@@ -204,11 +175,7 @@ func (s *Server) pulseGauges() {
 // cost view as pmserver_scope_* gauges, beside the pulse gauges. Same
 // conventions: rates rounded to int64, fractions/ratios scaled ×1000
 // with a _milli suffix, ETAs in whole seconds (-1 = unknown).
-func (s *Server) scopeGauges() {
-	d := s.pulse.BuildDoc(1)
-	if d.WindowsAggregated == 0 {
-		return
-	}
+func (s *Server) scopeGauges(d *pulse.Doc) {
 	set := func(name, labels, help string, v int64) {
 		s.reg.Gauge(name, labels, help).Set(v)
 	}

@@ -590,17 +590,22 @@ func (s *Server) routeAsync(cr *connReq, out chan *connReq) bool {
 	}
 	home := ShardOf(key, len(s.shards))
 	sh := s.shards[home]
+	// Finish with cr before the enqueue hands it to the shard: the shard
+	// may answer and the conn writer recycle cr (and its span) before
+	// tryEnqueue even returns. A refused request keeps its enqueue mark —
+	// it did reach the queue's door.
+	code, tag := req.Code, cr.spanTag
+	if cr.span != nil {
+		cr.span.SetShard(home)
+		cr.span.Mark(flight.StageEnqueue, int64(s.nowNS()))
+	}
 	cr.sr = request{req: req, pr: cr, out: out}
 	if !sh.tryEnqueue(&cr.sr) {
 		s.noteRetry()
 		return answer(Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs})
 	}
-	if cr.span != nil {
-		cr.span.SetShard(home)
-		cr.span.Mark(flight.StageEnqueue, int64(s.nowNS()))
-	}
 	if s.tracer.Enabled() {
-		s.tracer.EmitSpan(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(req.Code), cr.spanTag)
+		s.tracer.EmitSpan(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(code), tag)
 	}
 	return true
 }

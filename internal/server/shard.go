@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"sync"
 
 	"pmemlog/internal/flight"
 	"pmemlog/internal/obs"
+	"pmemlog/internal/obs/pulse"
 	"pmemlog/internal/recovery"
 	"pmemlog/internal/sim"
 	"pmemlog/internal/stats"
@@ -61,12 +62,12 @@ type shard struct {
 	done     chan struct{} // closed when the loop exits
 	batchMax int
 
-	// Loop-owned counters (read by the loop itself for stats probes).
-	batches  uint64
-	saves    uint64
-	requests uint64
-	unsaved  bool             // writes committed since the last image save
-	bootRep  *recovery.Report // recovery report from attach, if any
+	// live is the loop's working copy of the shard view: its Requests,
+	// Batches and Saves are the loop's own counters, the rest is refreshed
+	// from the machine by publish.
+	live    pulse.ShardSample
+	unsaved bool             // writes committed since the last image save
+	bootRep *recovery.Report // recovery report from attach, if any
 
 	// Loop-owned scratch reused across batches so the steady-state batch
 	// path performs no per-batch slice allocation.
@@ -82,46 +83,14 @@ type shard struct {
 	// propagates out of the shard loop and kills the process.
 	onPanic func()
 
-	// Published log state: head/tail/capacity refreshed by the loop after
-	// every batch so a concurrent flight dump reads wrap pressure without
-	// touching the loop-owned machine. logBases is static after newShard.
-	pubHead  atomic.Uint64
-	pubTail  atomic.Uint64
-	pubCap   atomic.Uint64
+	// pub is the published view: publish copies live into it once per
+	// batch under pubMu, and view is how every concurrent reader (pulse
+	// sampler, /metrics, /healthz, flight dumps) sees the shard — one
+	// value, never torn, without touching the loop-owned machine.
+	// logBases is static after newShard.
+	pubMu    sync.Mutex
+	pub      pulse.ShardSample
 	logBases []uint64
-
-	// Published activity counters for the pulse sampler, refreshed with
-	// the log state: the loop-owned counters above plus the machine's
-	// cheap cumulative counters (sim.PulseCounters — the full Stats()
-	// probe sorts a latency window and is too heavy for per-batch use).
-	// pulseScratch is loop-owned.
-	pubRequests   atomic.Uint64
-	pubBatches    atomic.Uint64
-	pubSaves      atomic.Uint64
-	pubTxns       atomic.Uint64
-	pubLogAppends atomic.Uint64
-	pubLogTrunc   atomic.Uint64
-	pubFwbScans   atomic.Uint64
-	pubNVRAMBytes atomic.Uint64
-	pulseScratch  sim.PulseCounters
-
-	// Published scope (persistence-domain cost) counters, same bridge.
-	pubPayloadBytes     atomic.Uint64
-	pubLogUndoBytes     atomic.Uint64
-	pubLogRedoBytes     atomic.Uint64
-	pubLogHeaderBytes   atomic.Uint64
-	pubLogChecksumBytes atomic.Uint64
-	pubLogBusBytes      atomic.Uint64
-	pubDataBusBytes     atomic.Uint64
-	pubUpdateAppends    atomic.Uint64
-	pubCoalescible      atomic.Uint64
-	pubForcedWB         atomic.Uint64
-	pubNaturalWB        atomic.Uint64
-	pubWastedForcedWB   atomic.Uint64
-	pubFwbFlagged       atomic.Uint64
-	pubTxnsMeasured     atomic.Uint64
-	pubTxnAmpMilliSum   atomic.Uint64
-	pubLiveRecords      atomic.Uint64
 }
 
 // newShard builds (or re-attaches) one shard.
@@ -165,45 +134,49 @@ func newShard(id int, cfg sim.Config, nBuckets uint64, dir string, queueDepth, b
 	for _, base := range sys.LogBases() {
 		sh.logBases = append(sh.logBases, uint64(base))
 	}
-	sh.publishLogState()
+	sh.publish()
 	return sh, nil
 }
 
-// publishLogState refreshes the atomically-published wrap-pressure and
-// activity view (loop goroutine, or newShard before the loop starts).
-// This is the only bridge between the loop-owned machine and concurrent
-// readers (flight dumps, /healthz, the pulse sampler): plain stores,
-// no allocation, no obs calls.
-func (sh *shard) publishLogState() {
-	head, tail, capacity := sh.sys.LogState()
-	sh.pubHead.Store(head)
-	sh.pubTail.Store(tail)
-	sh.pubCap.Store(capacity)
-	sh.sys.PulseCounters(&sh.pulseScratch)
-	sh.pubRequests.Store(sh.requests)
-	sh.pubBatches.Store(sh.batches)
-	sh.pubSaves.Store(sh.saves)
-	sh.pubTxns.Store(sh.pulseScratch.Transactions)
-	sh.pubLogAppends.Store(sh.pulseScratch.LogAppends)
-	sh.pubLogTrunc.Store(sh.pulseScratch.LogTruncated)
-	sh.pubFwbScans.Store(sh.pulseScratch.FwbScans)
-	sh.pubNVRAMBytes.Store(sh.pulseScratch.NVRAMWriteBytes)
-	sh.pubPayloadBytes.Store(sh.pulseScratch.PayloadBytes)
-	sh.pubLogUndoBytes.Store(sh.pulseScratch.LogUndoBytes)
-	sh.pubLogRedoBytes.Store(sh.pulseScratch.LogRedoBytes)
-	sh.pubLogHeaderBytes.Store(sh.pulseScratch.LogHeaderBytes)
-	sh.pubLogChecksumBytes.Store(sh.pulseScratch.LogChecksumBytes)
-	sh.pubLogBusBytes.Store(sh.pulseScratch.LogBusBytes)
-	sh.pubDataBusBytes.Store(sh.pulseScratch.DataBusBytes)
-	sh.pubUpdateAppends.Store(sh.pulseScratch.UpdateAppends)
-	sh.pubCoalescible.Store(sh.pulseScratch.CoalescibleAppends)
-	sh.pubForcedWB.Store(sh.pulseScratch.ForcedWB)
-	sh.pubNaturalWB.Store(sh.pulseScratch.NaturalWB)
-	sh.pubWastedForcedWB.Store(sh.pulseScratch.WastedForcedWB)
-	sh.pubFwbFlagged.Store(sh.pulseScratch.FwbFlagged)
-	sh.pubTxnsMeasured.Store(sh.pulseScratch.TxnsMeasured)
-	sh.pubTxnAmpMilliSum.Store(sh.pulseScratch.TxnAmpMilliSum)
-	sh.pubLiveRecords.Store(sh.pulseScratch.LiveRecords)
+// publish refreshes live from the machine and copies it into the
+// published view in one critical section (loop goroutine, or newShard
+// before the loop starts). No allocation, no obs calls.
+//
+//pmlint:hot
+func (sh *shard) publish() {
+	sh.sys.Snapshot(&sh.live.Snapshot)
+	sh.live.Keys = sh.st.keys
+	sh.pubMu.Lock()
+	sh.pub = sh.live
+	sh.pubMu.Unlock()
+}
+
+// view returns the shard as of its last completed batch, with the queue
+// gauges read now. Safe from any goroutine; never blocks on the loop.
+//
+//pmlint:hot
+func (sh *shard) view() pulse.ShardSample {
+	sh.pubMu.Lock()
+	v := sh.pub
+	sh.pubMu.Unlock()
+	v.QueueLen, v.QueueCap = len(sh.queue), cap(sh.queue)
+	return v
+}
+
+// flightState renders the view as the flight recorder's shard record,
+// the form dumps and /healthz derive wrap pressure from.
+func (sh *shard) flightState() flight.ShardState {
+	v := sh.view()
+	return flight.ShardState{
+		Shard:     sh.id,
+		QueueLen:  v.QueueLen,
+		QueueCap:  v.QueueCap,
+		LogHead:   v.LogHead,
+		LogTail:   v.LogTail,
+		LogCap:    v.LogCap,
+		LogBases:  sh.logBases,
+		ImagePath: sh.imgPath,
+	}
 }
 
 // save persists the high-water mark and the DIMM image atomically. The
@@ -216,12 +189,14 @@ func (sh *shard) save() error {
 	if err := sh.sys.NVRAMImage().WriteFile(sh.imgPath); err != nil {
 		return err
 	}
-	sh.saves++
+	sh.live.Saves++
 	sh.unsaved = false
 	return nil
 }
 
 // loop is the shard worker goroutine.
+//
+//pmlint:hot
 func (sh *shard) loop() {
 	defer close(sh.done)
 	defer func() {
@@ -250,6 +225,8 @@ func (sh *shard) loop() {
 
 // collect gathers up to batchMax already-queued requests behind first into
 // the shard's reusable batch slice (valid until the next collect).
+//
+//pmlint:hot
 func (sh *shard) collect(first *request) []*request {
 	batch := append(sh.batch[:0], first)
 	for len(batch) < sh.batchMax {
@@ -266,6 +243,8 @@ func (sh *shard) collect(first *request) []*request {
 }
 
 // drain answers everything already queued, then takes a final save.
+//
+//pmlint:hot
 func (sh *shard) drain() {
 	for {
 		select {
@@ -284,8 +263,10 @@ func (sh *shard) drain() {
 // shard's machine in arrival order, the image is persisted if anything was
 // written, and only then are the responses released — the acked-durability
 // point.
+//
+//pmlint:hot
 func (sh *shard) runBatch(batch []*request) {
-	sh.batches++
+	sh.live.Batches++
 	if cap(sh.resps) < len(batch) {
 		sh.resps = make([]Response, len(batch))
 	}
@@ -300,7 +281,7 @@ func (sh *shard) runBatch(batch []*request) {
 			if r.req == nil {
 				continue // stats probe: answered after the batch
 			}
-			sh.requests++
+			sh.live.Requests++
 			var tag uint32
 			var sp *flight.Span
 			if r.pr != nil {
@@ -365,7 +346,7 @@ func (sh *shard) runBatch(batch []*request) {
 			}
 		}
 	}
-	sh.publishLogState()
+	sh.publish()
 	for i, r := range batch {
 		if r.stats != nil {
 			r.stats <- sh.snapshot()
@@ -422,6 +403,8 @@ func (sh *shard) settle(runErr error, wrote bool, batch []*request, resps []Resp
 // apply executes one request inside the batch's worker. A GET value is
 // appended to dst (the caller's reusable scratch); the returned slice is
 // the grown scratch to keep for the next call.
+//
+//pmlint:hot
 func (sh *shard) apply(ctx sim.Ctx, req *Request, dst []byte) (Response, []byte) {
 	switch req.Code {
 	case OpGet:
@@ -457,9 +440,9 @@ func (sh *shard) snapshot() ShardStats {
 		HeapSizeBytes: sh.sys.Heap().Size(),
 		QueueLen:      len(sh.queue),
 		QueueCap:      cap(sh.queue),
-		Batches:       sh.batches,
-		Saves:         sh.saves,
-		Requests:      sh.requests,
+		Batches:       sh.live.Batches,
+		Saves:         sh.live.Saves,
+		Requests:      sh.live.Requests,
 		Run:           sh.sys.Stats(),
 		Recovery:      sh.bootRep,
 	}

@@ -121,79 +121,31 @@ func (s *System) LogState() (head, tail, capacity uint64) {
 	return l.Head(), l.Tail(), l.Capacity()
 }
 
-// PulseCounters is the cheap monotonic-activity sample a server shard
-// publishes after every batch: the handful of counters the pulse
-// telemetry windows into rates. A subset of Stats() chosen so sampling
-// allocates nothing and touches no percentile math — Stats() copies
-// and sorts the latency window, which is far too heavy for a per-batch
-// publish inside the zero-alloc shard loop.
-type PulseCounters struct {
-	Transactions    uint64 // committed machine transactions
-	LogAppends      uint64 // undo+redo records appended
-	LogTruncated    uint64 // records reclaimed by head advance
-	FwbScans        uint64 // forced write-back scans completed
-	NVRAMWriteBytes uint64 // bytes written to simulated NVRAM
-
-	// Scope (persistence-domain cost) counters, from the machine's
-	// always-on scope.Counters ledger plus the controller's bus stats.
-	// All monotonic except LiveRecords, a gauge.
-	PayloadBytes       uint64 // application bytes stored by txns
-	LogUndoBytes       uint64 // log bytes paying for undo words
-	LogRedoBytes       uint64 // log bytes paying for redo words
-	LogHeaderBytes     uint64 // log bytes paying for headers + metadata
-	LogChecksumBytes   uint64 // log bytes paying for record checksums
-	LogBusBytes        uint64 // all log-path bytes crossing the NVRAM bus
-	DataBusBytes       uint64 // all data write-back bytes crossing the bus
-	UpdateAppends      uint64 // update records appended
-	CoalescibleAppends uint64 // update appends re-hitting a line their txn logged
-	ForcedWB           uint64 // FWB-scanner-forced data write-backs
-	NaturalWB          uint64 // eviction/flush data write-backs
-	WastedForcedWB     uint64 // forced write-backs re-dirtied before next scan
-	FwbFlagged         uint64 // FLAG→FWB transitions in the scan FSM
-	TxnsMeasured       uint64 // committed txns folded into the amp mean
-	TxnAmpMilliSum     uint64 // sum of per-txn 1000*logBytes/payloadBytes
-	LiveRecords        uint64 // gauge: records currently live in the log
-}
-
-// PulseCounters samples the machine's monotonic counters into out
-// without allocating. Only meaningful from the goroutine that runs the
-// workload (the same ownership contract as Stats).
-func (s *System) PulseCounters(out *PulseCounters) {
-	out.Transactions = s.committedTxns
+// Snapshot fills out with the machine's published counter vocabulary:
+// the scope ledger, the log window, and the cheap cumulative counters
+// of the engine, controller, caches and NVRAM. A subset of Stats()
+// chosen so it allocates nothing and touches no percentile math —
+// Stats() copies and sorts the latency window, far too heavy for the
+// per-batch publish inside the zero-alloc shard loop. Only meaningful
+// from the goroutine that runs the workload (the Stats contract).
+func (s *System) Snapshot(out *scope.Snapshot) {
+	*out = scope.Snapshot{Ledger: s.scope.Ledger}
+	out.LogHead, out.LogTail, out.LogCap = s.LogState()
+	out.Txns = s.committedTxns
 	out.NVRAMWriteBytes = s.nv.Stats().BytesWritten
-	if s.eng != nil {
-		es := s.eng.Stats()
-		out.LogAppends = es.Records
-		out.LogTruncated = es.Truncated
-		out.FwbScans = es.ScansRun
-	} else {
-		out.LogAppends, out.LogTruncated, out.FwbScans = 0, 0, 0
-	}
-	if s.swLog != nil {
-		out.LogAppends = s.swLog.Stats().Appends
-	}
-
-	sc := s.scope
-	out.PayloadBytes = sc.PayloadBytes
-	out.LogUndoBytes = sc.LogUndoBytes
-	out.LogRedoBytes = sc.LogRedoBytes
-	out.LogHeaderBytes = sc.LogHeaderBytes
-	out.LogChecksumBytes = sc.LogChecksumBytes
-	out.UpdateAppends = sc.UpdateAppends
-	out.CoalescibleAppends = sc.CoalescibleAppends
-	out.ForcedWB = sc.ForcedWB
-	out.NaturalWB = sc.NaturalWB()
-	out.WastedForcedWB = sc.WastedForcedWB
-	out.TxnsMeasured = sc.TxnsMeasured
-	out.TxnAmpMilliSum = sc.TxnAmpMilliSum
 	cs := s.ctl.Stats()
 	out.LogBusBytes = cs.LogWriteBytes
 	out.DataBusBytes = cs.DataWriteBytes
 	out.FwbFlagged = s.hier.FwbFlaggedTotal()
 	switch {
 	case s.eng != nil:
+		es := s.eng.Stats()
+		out.LogAppends = es.Records
+		out.LogTruncated = es.Truncated
+		out.FwbScans = es.ScansRun
 		out.LiveRecords = s.eng.LiveRecords()
 	case s.swLog != nil:
+		out.LogAppends = s.swLog.Stats().Appends
 		out.LiveRecords = s.swLog.Len()
 	}
 }
