@@ -44,17 +44,19 @@ pmlint-flow:
 # trace_event timeline to trace.json (open in about:tracing or
 # ui.perfetto.dev); the per-phase breakdown prints on stdout.
 trace:
-	$(GO) run ./cmd/pmtrace -bench hash -mode fwb -threads 2 -log-kb 32 -o trace.json
+	$(GO) run ./cmd/pmctl trace -bench hash -mode fwb -threads 2 -log-kb 32 -o trace.json
 
-# trace-test is the pmtrace round-trip acceptance test (also part of
+# trace-test is the `pmctl trace` round-trip acceptance test (also part of
 # `test`, but gated explicitly so ci fails loudly if the exporter breaks).
 trace-test:
-	$(GO) test ./cmd/pmtrace
+	$(GO) test ./cmd/pmctl -run 'TestRoundTrip|TestStdoutMode|TestBadFlags' -count=1
 
-# bench-baseline regenerates the committed microbenchmark grid dump.
-# The simulator is deterministic, so a diff here means behavior changed.
+# bench-baseline regenerates the committed microbenchmark grid dump
+# (the 1- and 2-thread rows BENCH_micro.json holds). The simulator is
+# deterministic, so a diff here means behavior changed.
 bench-baseline:
-	$(GO) run ./cmd/experiments -json
+	$(GO) run ./cmd/experiments -json -threads 1,2
+	git diff --exit-code BENCH_micro.json
 
 # perf guards the wall-clock path (DESIGN.md §11): the zero-allocation
 # tests on the nvlog append and shard apply hot paths, then a smoke run
@@ -67,11 +69,11 @@ perf:
 	bash benchmark/run.sh -short
 
 # doctor is the flight-recorder smoke (DESIGN.md §12): boot a server,
-# push spanned traffic, capture a flight dump, and assert pmdoctor
+# push spanned traffic, capture a flight dump, and assert `pmctl doctor`
 # renders causal timelines from it. Also part of `test`, gated
 # explicitly so ci fails loudly if the forensics pipeline breaks.
 doctor:
-	$(GO) test ./cmd/pmdoctor -run TestDoctorSmoke -count=1
+	$(GO) test ./cmd/pmctl -run TestDoctorSmoke -count=1
 
 # chaos is the fixed-seed fault-injection campaign (DESIGN.md §13):
 # the full scenario matrix (torn log lines, partial drains, dropped and
@@ -86,24 +88,24 @@ chaos:
 # pulse is the live-telemetry smoke (DESIGN.md §15): the /pulse.json
 # schema round-trip, the end-to-end chain (spanned traffic → closed
 # window → stage waterfall accounting for the e2e p99 → exemplar
-# resolvable in a flight dump → OpenMetrics gauges), and a pmtop -once
-# golden frame rendered against a live server. Also part of `test`,
+# resolvable in a flight dump → OpenMetrics gauges), and a `pmctl top
+# -once` golden frame rendered against a live server. Also part of `test`,
 # gated explicitly so ci fails loudly if the operator surface breaks.
 pulse:
 	$(GO) test ./internal/obs/pulse -run TestPulseSchemaRoundTrip -count=1
 	$(GO) test ./internal/server -run 'TestPulseEndToEnd|TestHealthzDegraded' -count=1
-	$(GO) test ./cmd/pmtop -run 'TestRenderFixture|TestOnceAgainstLiveServer' -count=1
+	$(GO) test ./cmd/pmctl -run 'TestRenderFixture|TestOnceAgainstLiveServer' -count=1
 
 # scope is the persistence-cost accounting gate (DESIGN.md §16): the
 # scope ledger unit tests (zero-alloc steady state under race included),
 # the /pulse.json v2 golden round-trip + v1 decode compat + wrap
 # forecast, the live e2e (zipfian coalescible above uniform; wrap
-# forecast within ±25% of an observed wrap), and the pmscope/pmtop
-# analyzer surfaces.
+# forecast within ±25% of an observed wrap, counted in windows), and the
+# `pmctl scope` / `pmctl top` analyzer surfaces.
 scope:
 	$(GO) test -race ./internal/obs/scope -count=1
 	$(GO) test ./internal/obs/pulse -run 'TestScopeGoldenRoundTrip|TestDocDecodeV1Compat|TestScopeWrapForecast' -count=1
 	$(GO) test ./internal/server -run 'TestScopeCoalescibleZipfVsUniform|TestScopeWrapForecastLive' -count=1
-	$(GO) test ./cmd/pmscope ./cmd/pmtop -count=1
+	$(GO) test ./cmd/pmctl -run 'Scope|Residency|Render|Once' -count=1
 
 ci: build lint pmlint-flow test race trace-test perf doctor chaos pulse scope

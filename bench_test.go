@@ -316,7 +316,7 @@ func benchObsRun(b *testing.B, enabled bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys, err := NewSystem(p.config(FWB, 1))
+		sys, err := NewSystem(p.Config(FWB, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func BenchmarkObsEnabled(b *testing.B)  { benchObsRun(b, true) }
 // pair: a disabled tracer's Emit — the call sprinkled through every
 // hot loop — must not allocate.
 func TestObsDisabledPathAllocFree(t *testing.T) {
-	sys, err := NewSystem(benchParams().config(FWB, 1))
+	sys, err := NewSystem(benchParams().Config(FWB, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

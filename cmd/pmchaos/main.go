@@ -1,6 +1,6 @@
 // Command pmchaos runs deterministic fault-injection campaigns against
 // the simulated machine and the server, auditing every run with the
-// same machinery pmdoctor -strict uses. A campaign sweeps a seed range
+// same machinery pmctl doctor -strict uses. A campaign sweeps a seed range
 // across the scenario matrix; every failure message carries the seed,
 // and the same seed replays the failing run bit-for-bit:
 //

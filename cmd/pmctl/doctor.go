@@ -1,115 +1,83 @@
-// Command pmdoctor is the post-mortem forensics CLI for pmserver's
-// flight recorder: it loads a black-box dump (written on panic,
-// SIGTERM, or an explicit WriteFlightDump), prints the causal timeline
-// of every request that was in flight when the process died, and
-// cross-checks each one against the shard's durable NVRAM log image —
-// classifying its transaction committed / torn / unlogged in the
-// paper's recovery vocabulary and verifying the ruling against what a
-// real recovery replay concludes from the same image:
-//
-//	pmdoctor /data/flight-dump.json
-//	pmdoctor -dump flight-dump.json -images /data -strict
-//	pmdoctor -dump flight-dump.json -span 4294967297 -json
-//
-// Exit status: 0 clean (torn-but-correctly-rolled-back crashes
-// included), 1 under -strict when an acked write was lost or a verdict
-// disagrees with the recovery replay, 2 usage or input errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"pmemlog/internal/flight"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("pmdoctor", flag.ContinueOnError)
-	fs.SetOutput(errw)
+// declareDoctor is `pmctl doctor`, the post-mortem forensics for
+// pmserver's flight recorder: it loads a black-box dump (written on
+// panic, SIGTERM, or an explicit WriteFlightDump), prints the causal
+// timeline of every request that was in flight when the process died, and
+// cross-checks each one against the shard's durable NVRAM log image —
+// classifying its transaction committed / torn / unlogged in the
+// paper's recovery vocabulary and verifying the ruling against what a
+// real recovery replay concludes from the same image:
+//
+//	pmctl doctor /data/flight-dump.json
+//	pmctl doctor -dump flight-dump.json -images /data -strict
+//	pmctl doctor -dump flight-dump.json -span 4294967297 -json
+//
+// Exit status: 0 clean (torn-but-correctly-rolled-back crashes
+// included), 1 under -strict when an acked write was lost or a verdict
+// disagrees with the recovery replay, 2 usage or input errors.
+func declareDoctor(fs *flag.FlagSet) func(*env) int {
 	var (
-		dumpPath  = fs.String("dump", "", "flight dump JSON (a bare positional argument works too)")
-		imagesDir = fs.String("images", "", "directory holding the shard NVRAM images (default: the paths recorded in the dump, then the dump's own directory)")
-		spanID    = fs.Uint64("span", 0, "report only this wire span ID")
-		jsonOut   = fs.Bool("json", false, "emit the dump and analysis as one JSON document")
-		strict    = fs.Bool("strict", false, "exit 1 when any verdict disagrees with the recovery replay")
-		noCheck   = fs.Bool("no-analyze", false, "skip the log-image cross-check (print the dump only)")
+		in     = declareDumpInput(fs)
+		spanID = fs.Uint64("span", 0, "report only this wire span ID")
+		strict = fs.Bool("strict", false, "exit 1 when any verdict disagrees with the recovery replay")
 	)
-	fs.Usage = func() {
-		fmt.Fprintf(errw, "usage: pmdoctor [flags] [dump.json]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *dumpPath == "" && fs.NArg() == 1 {
-		*dumpPath = fs.Arg(0)
-	}
-	if *dumpPath == "" || fs.NArg() > 1 {
-		fs.Usage()
-		return 2
-	}
-
-	d, err := flight.LoadDump(*dumpPath)
-	if err != nil {
-		fmt.Fprintf(errw, "pmdoctor: %v\n", err)
-		return 2
-	}
-	if *spanID != 0 {
-		filterSpan(d, *spanID)
-	}
-
-	var an *flight.Analysis
-	var analyzeErr error
-	if !*noCheck && (len(d.InFlight) > 0 || len(d.Slow) > 0) {
-		an, analyzeErr = flight.Analyze(d, d.ImageOpener(*dumpPath, *imagesDir))
-		if analyzeErr != nil {
-			fmt.Fprintf(errw, "pmdoctor: analysis skipped: %v\n", analyzeErr)
-		}
-	}
-
-	if *jsonOut {
-		doc := struct {
-			Dump     *flight.Dump     `json:"dump"`
-			Analysis *flight.Analysis `json:"analysis,omitempty"`
-		}{d, an}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(errw, "pmdoctor: %v\n", err)
+	return func(e *env) int {
+		d, open, ok := in.load(e)
+		if !ok {
 			return 2
 		}
-	} else {
-		printDump(out, d)
-		printAnalysis(out, d, an)
-	}
+		if *spanID != 0 {
+			filterSpan(d, *spanID)
+		}
 
-	// Strict mode separates crash artifacts from broken promises: a torn
-	// or unlogged in-flight request that recovery correctly rolled back is
-	// normal crash behavior (exit 0); a lost acked write or a verdict that
-	// disagrees with the recovery replay is a real failure (exit 1).
-	if *strict && an != nil {
-		bad := false
-		if !an.Agreement() {
-			fmt.Fprintf(errw, "pmdoctor: verdicts disagree with the recovery replay\n")
-			bad = true
+		var an *flight.Analysis
+		if open != nil && (len(d.InFlight) > 0 || len(d.Slow) > 0) {
+			var err error
+			if an, err = flight.Analyze(d, open); err != nil {
+				e.errorf("analysis skipped: %v", err)
+			}
 		}
-		if n := an.AckedLoss(); n > 0 {
-			fmt.Fprintf(errw, "pmdoctor: %d acked write(s) lost by recovery\n", n)
-			bad = true
+
+		if *in.json {
+			doc := struct {
+				Dump     *flight.Dump     `json:"dump"`
+				Analysis *flight.Analysis `json:"analysis,omitempty"`
+			}{d, an}
+			if code := e.writeJSON(doc, " "); code != 0 {
+				return code
+			}
+		} else {
+			printDump(e.out, d)
+			printAnalysis(e.out, d, an)
 		}
-		if bad {
-			return 1
+
+		// Strict mode separates crash artifacts from broken promises: a torn
+		// or unlogged in-flight request that recovery correctly rolled back is
+		// normal crash behavior (exit 0); a lost acked write or a verdict that
+		// disagrees with the recovery replay is a real failure (exit 1).
+		code := 0
+		if *strict && an != nil {
+			if !an.Agreement() {
+				e.errorf("verdicts disagree with the recovery replay")
+				code = 1
+			}
+			if n := an.AckedLoss(); n > 0 {
+				e.errorf("%d acked write(s) lost by recovery", n)
+				code = 1
+			}
 		}
+		return code
 	}
-	return 0
 }
 
 // filterSpan narrows the dump to one span: its snapshot(s) and the
@@ -176,7 +144,7 @@ func printDump(out io.Writer, d *flight.Dump) {
 // causal timeline reassembled from the trace rings.
 func printSpan(out io.Writer, d *flight.Dump, sp *flight.SpanSnapshot) {
 	fmt.Fprintf(out, "  span %d (tag %08x)  op=%s  shard=%s  status=%s\n",
-		sp.ID, sp.Tag(), opName(sp.Op), shardName(sp.Shard), statusName(sp.Status))
+		sp.ID, sp.Tag(), flight.OpName(sp.Op), shardName(sp.Shard), flight.StatusName(sp.Status))
 	fmt.Fprintf(out, "    stages: recv=%s", time.Duration(sp.RecvNS))
 	for _, st := range []struct {
 		name string
@@ -252,43 +220,9 @@ func printAnalysis(out io.Writer, d *flight.Dump, an *flight.Analysis) {
 	}
 }
 
-func opName(op uint8) string {
-	switch op {
-	case 0x01:
-		return "get"
-	case 0x02:
-		return "put"
-	case 0x03:
-		return "del"
-	case 0x04:
-		return "txn"
-	case 0x05:
-		return "stats"
-	case 0x06:
-		return "metrics"
-	}
-	return fmt.Sprintf("op%02x", op)
-}
-
 func shardName(s int) string {
 	if s < 0 {
 		return "unrouted"
 	}
 	return fmt.Sprintf("%d", s)
-}
-
-func statusName(s int) string {
-	switch s {
-	case -1:
-		return "unanswered"
-	case 0x00:
-		return "ok"
-	case 0x01:
-		return "not-found"
-	case 0x02:
-		return "retry"
-	case 0x03:
-		return "err"
-	}
-	return fmt.Sprintf("status%02x", s)
 }

@@ -19,7 +19,7 @@ import (
 
 // TestDoctorSmoke is the end-to-end smoke `make doctor` runs in CI:
 // boot a real server, push spanned traffic through it, capture a
-// flight dump mid-flight, and assert pmdoctor renders span timelines
+// flight dump mid-flight, and assert pmctl doctor renders span timelines
 // reassembled from the trace rings.
 func TestDoctorSmoke(t *testing.T) {
 	dir := t.TempDir()
@@ -64,8 +64,8 @@ func TestDoctorSmoke(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if code := run([]string{dumpPath}, &out, &out); code != 0 {
-		t.Fatalf("pmdoctor exited %d:\n%s", code, out.String())
+	if code := run([]string{"doctor", dumpPath}, &out, &out); code != 0 {
+		t.Fatalf("pmctl doctor exited %d:\n%s", code, out.String())
 	}
 	text := out.String()
 	for _, want := range []string{
@@ -79,14 +79,14 @@ func TestDoctorSmoke(t *testing.T) {
 		"srv-ack",
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("pmdoctor output missing %q:\n%s", want, text)
+			t.Errorf("pmctl doctor output missing %q:\n%s", want, text)
 		}
 	}
 
 	// -json must emit one parseable document holding the dump.
 	out.Reset()
-	if code := run([]string{"-json", "-dump", dumpPath}, &out, &out); code != 0 {
-		t.Fatalf("pmdoctor -json exited %d:\n%s", code, out.String())
+	if code := run([]string{"doctor", "-json", "-dump", dumpPath}, &out, &out); code != 0 {
+		t.Fatalf("pmctl doctor -json exited %d:\n%s", code, out.String())
 	}
 	var doc struct {
 		Dump struct {
@@ -95,26 +95,26 @@ func TestDoctorSmoke(t *testing.T) {
 		} `json:"dump"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("pmdoctor -json output unparsable: %v", err)
+		t.Fatalf("pmctl doctor -json output unparsable: %v", err)
 	}
 	if doc.Dump.Version != 1 || doc.Dump.Reason != "manual" {
-		t.Fatalf("pmdoctor -json dump = %+v", doc.Dump)
+		t.Fatalf("pmctl doctor -json dump = %+v", doc.Dump)
 	}
 }
 
 // TestDoctorUsage covers the argument edge cases without a server.
 func TestDoctorUsage(t *testing.T) {
 	var out bytes.Buffer
-	if code := run(nil, &out, &out); code != 2 {
+	if code := run([]string{"doctor"}, &out, &out); code != 2 {
 		t.Fatalf("no args: exit %d, want 2", code)
 	}
 	out.Reset()
-	if code := run([]string{"does-not-exist.json"}, &out, &out); code != 2 {
+	if code := run([]string{"doctor", "does-not-exist.json"}, &out, &out); code != 2 {
 		t.Fatalf("missing dump: exit %d, want 2", code)
 	}
 }
 
-// TestStrictVerdictExitCodes pins pmdoctor's -strict contract per
+// TestStrictVerdictExitCodes pins pmctl doctor's -strict contract per
 // verdict class against hand-built images and dumps: crash artifacts
 // that recovery handles correctly (torn-but-rolled-back, unlogged,
 // acked-but-truncated) exit 0; a broken durability promise (an acked
@@ -229,7 +229,7 @@ func TestStrictVerdictExitCodes(t *testing.T) {
 			}
 
 			var out bytes.Buffer
-			code := run([]string{"-strict", dumpPath}, &out, &out)
+			code := run([]string{"doctor", "-strict", dumpPath}, &out, &out)
 			if code != tc.wantExit {
 				t.Fatalf("exit %d, want %d:\n%s", code, tc.wantExit, out.String())
 			}

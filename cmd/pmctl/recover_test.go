@@ -3,21 +3,29 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pmemlog"
-	"pmemlog/internal/bench"
 )
+
+// testCrashCell is the command's default cell (hash, fwb, 2 threads, 4096
+// elements, a 1 MB log) at 60 transactions per thread.
+func testCrashCell() crashCell {
+	p := pmemlog.QuickParams()
+	p.Seed, p.Elements, p.TxnsPerThread = 7, 4096, 60
+	return crashCell{bench: "hash", mode: pmemlog.FWB, threads: 2, p: p}
+}
 
 // TestCrashTrialsConsistent drives the command's own trial loop body over
 // randomized crash points: every trial must recover to a consistent state
 // (committed durable, uncommitted rolled back).
 func TestCrashTrialsConsistent(t *testing.T) {
-	const threads, txns = 2, 60
-	total, err := runOnce(pmemlog.FWB, "hash", threads, txns, 0, "")
+	c := testCrashCell()
+	total, err := c.runOnce(io.Discard, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +35,7 @@ func TestCrashTrialsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		crashAt := uint64(rng.Int63n(int64(total))) + 1
-		if _, err := runOnce(pmemlog.FWB, "hash", threads, txns, crashAt, ""); err != nil {
+		if _, err := c.runOnce(io.Discard, crashAt, ""); err != nil {
 			t.Fatalf("trial %d (crash@%d): %v", trial, crashAt, err)
 		}
 	}
@@ -38,8 +46,8 @@ func TestCrashTrialsConsistent(t *testing.T) {
 // machine (the command's -load-image path), and assert the recovered heap
 // matches the crashed machine's committed-state oracle word for word.
 func TestSaveImageAttachRecover(t *testing.T) {
-	const threads, txns = 2, 60
-	total, err := runOnce(pmemlog.FWB, "hash", threads, txns, 0, "")
+	c := testCrashCell()
+	total, err := c.runOnce(io.Discard, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +58,8 @@ func TestSaveImageAttachRecover(t *testing.T) {
 
 		// The crashing "process", mirroring runOnce but keeping the system
 		// so its oracle survives for the audit.
-		sys, err := buildSystem(pmemlog.FWB, threads)
+		sys, w, err := c.populated()
 		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := bench.New("hash", bench.Config{
-			Elements: 4096, TxnsPerThread: txns, Threads: threads, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Setup(sys); err != nil {
 			t.Fatal(err)
 		}
 		sys.ScheduleCrash(crashAt)
@@ -80,7 +79,7 @@ func TestSaveImageAttachRecover(t *testing.T) {
 		}
 
 		// The command's -load-image path must succeed end to end.
-		if err := attachAndRecover("fwb", threads, path, false); err != nil {
+		if err := c.attachAndRecover(io.Discard, path, false); err != nil {
 			t.Fatalf("trial %d: attachAndRecover: %v", trial, err)
 		}
 
@@ -103,7 +102,7 @@ func TestSaveImageAttachRecover(t *testing.T) {
 		// Cross-process recovery of the saved image must then reproduce the
 		// in-process result exactly — the -save-image / -load-image round
 		// trip loses nothing.
-		fresh, err := buildSystem(pmemlog.FWB, threads)
+		fresh, err := c.system()
 		if err != nil {
 			t.Fatal(err)
 		}

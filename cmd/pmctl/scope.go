@@ -1,36 +1,9 @@
-// Command pmscope is the offline persistence-cost analyzer: the
-// post-mortem counterpart of the live scope panel in pmtop. It reads a
-// flight-recorder dump (and, when the shard NVRAM images are reachable,
-// the durable log images themselves) and reports where every NVRAM byte
-// went — write amplification, the undo/redo/header/checksum byte split,
-// log residency (live vs committed vs torn records and the recovery
-// replay bill they imply), and the coalescible fraction measured from
-// actual per-transaction line recurrence in the log:
-//
-//	pmscope /data/flight-dump.json
-//	pmscope -dump flight-dump.json -images /data -json
-//	pmscope -dump flight-dump.json -no-images
-//
-// Two evidence layers, cross-referenced when both exist:
-//
-//   - The dump's embedded /metrics snapshot carries the pmserver_scope_*
-//     gauges the live server computed from its pulse windows — rates and
-//     fractions over the final telemetry window.
-//   - The shard log images are ground truth for residency: pmscope
-//     re-scans every log region exactly as recovery would and prices the
-//     replay from what is durably there, not from what the dying server
-//     believed.
-//
-// Exit status: 0 on success, 2 on usage or input errors. Missing images
-// degrade the report (metrics-only), they do not fail it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,74 +13,66 @@ import (
 	"pmemlog/internal/nvlog"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("pmscope", flag.ContinueOnError)
-	fs.SetOutput(errw)
-	var (
-		dumpPath  = fs.String("dump", "", "flight dump JSON (a bare positional argument works too)")
-		imagesDir = fs.String("images", "", "directory holding the shard NVRAM images (default: the paths recorded in the dump, then the dump's own directory)")
-		jsonOut   = fs.Bool("json", false, "emit the analysis as one JSON document")
-		noImages  = fs.Bool("no-images", false, "skip the log-image residency scan (metrics snapshot only)")
-	)
-	fs.Usage = func() {
-		fmt.Fprintf(errw, "usage: pmscope [flags] [dump.json]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *dumpPath == "" && fs.NArg() == 1 {
-		*dumpPath = fs.Arg(0)
-	}
-	if *dumpPath == "" || fs.NArg() > 1 {
-		fs.Usage()
-		return 2
-	}
-
-	d, err := flight.LoadDump(*dumpPath)
-	if err != nil {
-		fmt.Fprintf(errw, "pmscope: %v\n", err)
-		return 2
-	}
-
-	rep := &Report{
-		Dump:    *dumpPath,
-		Reason:  d.Reason,
-		Mode:    d.Mode,
-		Shards:  d.Shards,
-		Metrics: scopeSeries(d.Metrics),
-	}
-	if !*noImages {
-		open := d.ImageOpener(*dumpPath, *imagesDir)
-		for _, st := range d.ShardStates {
-			sr, err := scanShard(&st, open)
-			if err != nil {
-				rep.ImageErrors = append(rep.ImageErrors,
-					fmt.Sprintf("shard %d: %v", st.Shard, err))
-				continue
-			}
-			rep.Residency = append(rep.Residency, *sr)
-		}
-		sort.Slice(rep.Residency, func(i, j int) bool {
-			return rep.Residency[i].Shard < rep.Residency[j].Shard
-		})
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(errw, "pmscope: %v\n", err)
+// declareScope is `pmctl scope`, the offline persistence-cost analyzer:
+// the post-mortem counterpart of the live scope panel in `pmctl top`. It
+// reads a flight-recorder dump (and, when the shard NVRAM images are
+// reachable, the durable log images themselves) and reports where every
+// NVRAM byte went — write amplification, the undo/redo/header/checksum
+// byte split, log residency (live vs committed vs torn records and the
+// recovery replay bill they imply), and the coalescible fraction measured
+// from actual per-transaction line recurrence in the log:
+//
+//	pmctl scope /data/flight-dump.json
+//	pmctl scope -dump flight-dump.json -images /data -json
+//	pmctl scope -dump flight-dump.json -no-images
+//
+// Two evidence layers, cross-referenced when both exist:
+//
+//   - The dump's embedded /metrics snapshot carries the pmserver_scope_*
+//     gauges the live server computed from its pulse windows — rates and
+//     fractions over the final telemetry window.
+//   - The shard log images are ground truth for residency: every log
+//     region is read exactly as recovery would read it (nvlog.Walk) and the
+//     replay is priced from what is durably there, not from what the dying
+//     server believed.
+//
+// Exit status: 0 on success, 2 on usage or input errors. Missing images
+// degrade the report (metrics-only), they do not fail it.
+func declareScope(fs *flag.FlagSet) func(*env) int {
+	in := declareDumpInput(fs)
+	return func(e *env) int {
+		d, open, ok := in.load(e)
+		if !ok {
 			return 2
 		}
+		rep := &Report{
+			Dump:    *in.path,
+			Reason:  d.Reason,
+			Mode:    d.Mode,
+			Shards:  d.Shards,
+			Metrics: scopeSeries(d.Metrics),
+		}
+		if open != nil {
+			for _, st := range d.ShardStates {
+				sr, err := scanShard(&st, open)
+				if err != nil {
+					rep.ImageErrors = append(rep.ImageErrors,
+						fmt.Sprintf("shard %d: %v", st.Shard, err))
+					continue
+				}
+				rep.Residency = append(rep.Residency, *sr)
+			}
+			sort.Slice(rep.Residency, func(i, j int) bool {
+				return rep.Residency[i].Shard < rep.Residency[j].Shard
+			})
+		}
+
+		if *in.json {
+			return e.writeJSON(rep, " ")
+		}
+		printReport(e.out, rep)
 		return 0
 	}
-	printReport(out, rep)
-	return 0
 }
 
 // Report is the full analysis document (-json emits it verbatim).
@@ -139,8 +104,9 @@ type Series struct {
 type ShardResidency struct {
 	Shard int `json:"shard"`
 
-	// Live records by kind, across every log region (grown regions
-	// included), torn tails excluded exactly as recovery excludes them.
+	// Live records by kind, across every log region recovery would read
+	// (a grown log's successor, not the region it abandoned), torn tails
+	// excluded exactly as recovery excludes them.
 	LiveRecords   uint64 `json:"live_records"`
 	UpdateRecords uint64 `json:"update_records"`
 	HeaderRecords uint64 `json:"header_records"`
@@ -218,15 +184,7 @@ func scopeSeries(metrics string) []Series {
 
 // scanShard reads one shard's image and prices its durable log.
 func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency, error) {
-	if len(st.LogBases) == 0 {
-		return nil, fmt.Errorf("no log regions recorded")
-	}
-	rc, err := open(st.Shard)
-	if err != nil {
-		return nil, err
-	}
-	img, err := mem.ReadPhysical(rc)
-	rc.Close()
+	log, err := st.ReadLog(open)
 	if err != nil {
 		return nil, err
 	}
@@ -236,11 +194,8 @@ func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency,
 		Occupancy: st.Occupancy(),
 		Pass:      st.Pass(),
 	}
-	// Per-transaction line recurrence and commit evidence accumulate
-	// across regions: a grown log splits one transaction's records over
-	// two regions, and coalescibility is a property of the transaction.
-	records := map[uint16]uint64{}
-	commits := map[uint16]bool{}
+	// Line recurrence is keyed by transaction, not by region:
+	// coalescibility is a property of the transaction.
 	type txnLine struct {
 		txid uint16
 		line uint64
@@ -248,21 +203,11 @@ func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency,
 	lines := map[txnLine]bool{}
 	var coalescible uint64
 
-	for _, b := range st.LogBases {
-		base := mem.Addr(b)
-		meta, err := nvlog.ReadMeta(img, base)
-		if err != nil {
-			return nil, err
-		}
-		entries, _, err := nvlog.Scan(img, base, meta)
-		if err != nil {
-			return nil, err
-		}
-		slot := meta.SlotSize()
-		for _, e := range entries {
+	for _, r := range log.Regions {
+		slot := r.Meta.SlotSize()
+		for _, e := range r.Entries {
 			sr.LiveRecords++
 			sr.LiveBytes += slot
-			records[e.TxID]++
 			switch e.Kind {
 			case nvlog.KindUpdate:
 				sr.UpdateRecords++
@@ -278,7 +223,6 @@ func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency,
 				}
 			case nvlog.KindCommit:
 				sr.CommitRecords++
-				commits[e.TxID] = true
 				sr.ChecksumBytes += nvlog.RecChecksumBytes
 				sr.HeaderBytes += slot - nvlog.RecChecksumBytes
 			default:
@@ -289,8 +233,8 @@ func scanShard(st *flight.ShardState, open flight.ImageOpener) (*ShardResidency,
 		}
 	}
 
-	for txid := range records {
-		if commits[txid] {
+	for txid := range log.Records {
+		if log.Commits[txid] {
 			sr.CommittedTxns++
 		} else {
 			sr.TornTxns++

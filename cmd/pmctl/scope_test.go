@@ -20,7 +20,7 @@ import (
 // TestScopeSmoke is the end-to-end smoke: boot a real server, drive
 // traffic, close a pulse window, scrape /metrics (which publishes the
 // scope gauges into the registry the flight dump snapshots), dump, and
-// assert pmscope reports the live gauges.
+// assert pmctl scope reports the live gauges.
 func TestScopeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
@@ -58,8 +58,8 @@ func TestScopeSmoke(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if code := run([]string{dumpPath}, &out, &out); code != 0 {
-		t.Fatalf("pmscope exited %d:\n%s", code, out.String())
+	if code := run([]string{"scope", dumpPath}, &out, &out); code != 0 {
+		t.Fatalf("pmctl scope exited %d:\n%s", code, out.String())
 	}
 	text := out.String()
 	for _, want := range []string{
@@ -70,7 +70,7 @@ func TestScopeSmoke(t *testing.T) {
 		"scope_shard_wrap_eta_seconds",
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("pmscope output missing %q:\n%s", want, text)
+			t.Errorf("pmctl scope output missing %q:\n%s", want, text)
 		}
 	}
 }
@@ -140,8 +140,8 @@ func TestResidencyScan(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if code := run([]string{"-json", dumpPath}, &out, &out); code != 0 {
-		t.Fatalf("pmscope exited %d:\n%s", code, out.String())
+	if code := run([]string{"scope", "-json", dumpPath}, &out, &out); code != 0 {
+		t.Fatalf("pmctl scope exited %d:\n%s", code, out.String())
 	}
 	var rep Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
@@ -196,11 +196,11 @@ func TestResidencyScan(t *testing.T) {
 // TestScopeUsage covers the argument edge cases without a server.
 func TestScopeUsage(t *testing.T) {
 	var out bytes.Buffer
-	if code := run(nil, &out, &out); code != 2 {
+	if code := run([]string{"scope"}, &out, &out); code != 2 {
 		t.Fatalf("no args: exit %d, want 2", code)
 	}
 	out.Reset()
-	if code := run([]string{"does-not-exist.json"}, &out, &out); code != 2 {
+	if code := run([]string{"scope", "does-not-exist.json"}, &out, &out); code != 2 {
 		t.Fatalf("missing dump: exit %d, want 2", code)
 	}
 }

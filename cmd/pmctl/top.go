@@ -1,17 +1,3 @@
-// Command pmtop is the live operator dashboard for pmserver: it polls
-// the /pulse.json windowed-telemetry document and renders per-shard
-// throughput and pressure bars, the per-op windowed quantile table, the
-// stage-latency waterfall (where the end-to-end tail is spent: routing,
-// queueing, machine txns, forced write-back, ack), wrap-pressure and
-// throughput trend sparklines, SLO burn, and the slowest requests of
-// the window with their stage breakdown:
-//
-//	pmtop -addr 127.0.0.1:8080
-//	pmtop -addr 127.0.0.1:8080 -once
-//	pmtop -addr 127.0.0.1:8080 -interval 2s -windows 10
-//
-// -once renders a single frame (no ANSI control sequences) and exits —
-// deterministic output for scripts, CI smoke tests, and bug reports.
 package main
 
 import (
@@ -29,13 +15,21 @@ import (
 	"pmemlog/internal/obs/pulse"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("pmtop", flag.ContinueOnError)
-	fs.SetOutput(errw)
+// declareTop is `pmctl top`, the live operator dashboard for pmserver: it
+// polls the /pulse.json windowed-telemetry document and renders per-shard
+// throughput and pressure bars, the per-op windowed quantile table, the
+// stage-latency waterfall (where the end-to-end tail is spent: routing,
+// queueing, machine txns, forced write-back, ack), wrap-pressure and
+// throughput trend sparklines, SLO burn, and the slowest requests of
+// the window with their stage breakdown:
+//
+//	pmctl top -addr 127.0.0.1:8080
+//	pmctl top -addr 127.0.0.1:8080 -once
+//	pmctl top -addr 127.0.0.1:8080 -interval 2s -windows 10
+//
+// -once renders a single frame (no ANSI control sequences) and exits —
+// deterministic output for scripts, CI smoke tests, and bug reports.
+func declareTop(fs *flag.FlagSet) func(*env) int {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "pmserver HTTP address (the -http-addr listener)")
 		interval = fs.Duration("interval", time.Second, "refresh period in live mode")
@@ -43,49 +37,39 @@ func run(args []string, out, errw io.Writer) int {
 		width    = fs.Int("width", 80, "render width in columns")
 		once     = fs.Bool("once", false, "render one frame without ANSI control and exit")
 	)
-	fs.Usage = func() {
-		fmt.Fprintf(errw, "usage: pmtop [flags]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return 2
-	}
-
-	fetch := func() (*pulse.Doc, error) {
-		return fetchDoc(fmt.Sprintf("http://%s/pulse.json?windows=%d", *addr, *windows))
-	}
-	if *once {
-		d, err := fetch()
-		if err != nil {
-			fmt.Fprintf(errw, "pmtop: %v\n", err)
-			return 1
+	return func(e *env) int {
+		fetch := func() (*pulse.Doc, error) {
+			return fetchDoc(fmt.Sprintf("http://%s/pulse.json?windows=%d", *addr, *windows))
 		}
-		render(out, d, *width)
-		return 0
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	tick := time.NewTicker(*interval)
-	defer tick.Stop()
-	for {
-		d, err := fetch()
-		// Clear screen + home between frames; an unreachable server shows
-		// the error in place of a frame and keeps polling.
-		fmt.Fprint(out, "\x1b[2J\x1b[H")
-		if err != nil {
-			fmt.Fprintf(out, "pmtop: %v (retrying every %s)\n", err, *interval)
-		} else {
-			render(out, d, *width)
-		}
-		select {
-		case <-sig:
+		if *once {
+			d, err := fetch()
+			if err != nil {
+				return e.fail(1, err)
+			}
+			render(e.out, d, *width)
 			return 0
-		case <-tick.C:
+		}
+
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt)
+		defer signal.Stop(sig)
+		tick := time.NewTicker(*interval)
+		defer tick.Stop()
+		for {
+			d, err := fetch()
+			// Clear screen + home between frames; an unreachable server shows
+			// the error in place of a frame and keeps polling.
+			fmt.Fprint(e.out, "\x1b[2J\x1b[H")
+			if err != nil {
+				fmt.Fprintf(e.out, "%s: %v (retrying every %s)\n", fs.Name(), err, *interval)
+			} else {
+				render(e.out, d, *width)
+			}
+			select {
+			case <-sig:
+				return 0
+			case <-tick.C:
+			}
 		}
 	}
 }
@@ -106,7 +90,7 @@ func fetchDoc(url string) (*pulse.Doc, error) {
 		return nil, fmt.Errorf("%s: %v", url, err)
 	}
 	if d.Version != pulse.DocVersion {
-		return nil, fmt.Errorf("%s: document version %d, pmtop speaks %d", url, d.Version, pulse.DocVersion)
+		return nil, fmt.Errorf("%s: document version %d, pmctl top speaks %d", url, d.Version, pulse.DocVersion)
 	}
 	return &d, nil
 }
@@ -196,7 +180,7 @@ func render(w io.Writer, d *pulse.Doc, width int) {
 		ns(uint64(d.SLO.ObjectiveNS)), 100*d.SLO.Budget, d.SLO.Bad, d.SLO.Total, d.SLO.BurnRate, burn)
 
 	// Tail exemplars: the slowest requests with their stage breakdown,
-	// span IDs resolvable against a flight dump (pmdoctor -span).
+	// span IDs resolvable against a flight dump (pmctl doctor -span).
 	if len(d.Exemplars) > 0 {
 		fmt.Fprintf(w, "\nSLOWEST (span: e2e = route+queue+apply+fwb+ack)\n")
 		for i, ex := range d.Exemplars {

@@ -107,7 +107,7 @@ func TestRenderEmptyDoc(t *testing.T) {
 
 // TestOnceAgainstLiveServer is the end-to-end smoke: boot a real
 // pmserver, drive spanned traffic, close a pulse window, and run
-// pmtop -once against the live /pulse.json — the frame must show real
+// pmctl top -once against the live /pulse.json — the frame must show real
 // per-shard throughput, the full stage waterfall, and an exemplar.
 func TestOnceAgainstLiveServer(t *testing.T) {
 	cfg := server.Config{
@@ -140,8 +140,8 @@ func TestOnceAgainstLiveServer(t *testing.T) {
 	srv.Pulse().Tick()
 
 	var out, errw bytes.Buffer
-	if code := run([]string{"-addr", srv.HTTPAddr(), "-once", "-windows", "1"}, &out, &errw); code != 0 {
-		t.Fatalf("pmtop -once exited %d: %s", code, errw.String())
+	if code := run([]string{"top", "-addr", srv.HTTPAddr(), "-once", "-windows", "1"}, &out, &errw); code != 0 {
+		t.Fatalf("pmctl top -once exited %d: %s", code, errw.String())
 	}
 	frame := out.String()
 	for _, want := range []string{"SHARDS", "put", "route", "queue", "apply", "fwb", "ack", "SLOWEST"} {
@@ -154,7 +154,7 @@ func TestOnceAgainstLiveServer(t *testing.T) {
 	}
 
 	// An unreachable server is an error exit, not a hang or a panic.
-	if code := run([]string{"-addr", "127.0.0.1:1", "-once"}, &out, &errw); code != 1 {
+	if code := run([]string{"top", "-addr", "127.0.0.1:1", "-once"}, &out, &errw); code != 1 {
 		t.Fatalf("unreachable server: exit %d", code)
 	}
 }

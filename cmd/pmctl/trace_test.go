@@ -17,12 +17,12 @@ func TestRoundTrip(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
-		"-bench", "hash", "-mode", "fwb", "-threads", "2",
+		"trace", "-bench", "hash", "-mode", "fwb", "-threads", "2",
 		"-elements", "2048", "-txns", "120", "-log-kb", "16",
 		"-o", out,
 	}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("pmtrace exited %d: %s", code, stderr.String())
+		t.Fatalf("pmctl trace exited %d: %s", code, stderr.String())
 	}
 
 	raw, err := os.ReadFile(out)
@@ -85,11 +85,11 @@ func TestRoundTrip(t *testing.T) {
 func TestStdoutMode(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
-		"-bench", "sps", "-mode", "hwl", "-threads", "1",
+		"trace", "-bench", "sps", "-mode", "hwl", "-threads", "1",
 		"-elements", "512", "-txns", "20", "-log-kb", "32", "-o", "-",
 	}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("pmtrace exited %d: %s", code, stderr.String())
+		t.Fatalf("pmctl trace exited %d: %s", code, stderr.String())
 	}
 	// First line is the JSON document, then the summary.
 	line, _, _ := strings.Cut(stdout.String(), "\n")
@@ -104,10 +104,10 @@ func TestStdoutMode(t *testing.T) {
 
 func TestBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-mode", "no-such-design"}, &out, &errw); code != 2 {
+	if code := run([]string{"trace", "-mode", "no-such-design"}, &out, &errw); code != 2 {
 		t.Fatalf("bad mode exited %d, want 2", code)
 	}
-	if code := run([]string{"-definitely-not-a-flag"}, &out, &errw); code != 2 {
+	if code := run([]string{"trace", "-definitely-not-a-flag"}, &out, &errw); code != 2 {
 		t.Fatalf("bad flag exited %d, want 2", code)
 	}
 }

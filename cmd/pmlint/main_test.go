@@ -232,10 +232,10 @@ func TestOnlyAndList(t *testing.T) {
 
 	out.Reset()
 	errw.Reset()
-	if code := run([]string{"-C", repoRoot, "-only", "quiesceorder", "./cmd/pmrecover"}, &out, &errw); code != 0 {
-		t.Fatalf("-only quiesceorder on cmd/pmrecover exited %d:\n%s%s", code, out.String(), errw.String())
+	if code := run([]string{"-C", repoRoot, "-only", "quiesceorder", "./cmd/pmctl"}, &out, &errw); code != 0 {
+		t.Fatalf("-only quiesceorder on cmd/pmctl exited %d:\n%s%s", code, out.String(), errw.String())
 	}
 	if !strings.Contains(out.String(), "2 suppressed") {
-		t.Fatalf("expected pmrecover's quiesceorder waiver to register as suppressed:\n%s", out.String())
+		t.Fatalf("expected pmctl recover's quiesceorder waivers to register as suppressed:\n%s", out.String())
 	}
 }

@@ -32,7 +32,7 @@ func main() {
 
 		httpAddr = flag.String("http-addr", "", "serve /healthz, /pulse.json, and /metrics on this address (off when empty)")
 
-		pulseInterval = flag.Duration("pulse-interval", time.Second, "telemetry window length (pmtop refresh granularity)")
+		pulseInterval = flag.Duration("pulse-interval", time.Second, "telemetry window length (pmctl top refresh granularity)")
 		pulseWindows  = flag.Int("pulse-windows", 64, "completed telemetry windows retained for trends")
 		slo           = flag.Duration("slo", 20*time.Millisecond, "latency objective for SLO burn accounting")
 		sloBudget     = flag.Float64("slo-budget", 0.001, "error budget: tolerated fraction of requests over the objective")
@@ -85,7 +85,7 @@ func main() {
 	s := <-sig
 	log.Printf("pmserver: %v: draining", s)
 	// Leave the black box behind before the drain erases the in-flight
-	// picture: the dump lands next to the shard images for pmdoctor.
+	// picture: the dump lands next to the shard images for pmctl doctor.
 	if err := srv.WriteFlightDump(srv.FlightDumpPath(), s.String()); err != nil {
 		log.Printf("pmserver: flight dump failed: %v", err)
 	} else {

@@ -65,7 +65,9 @@ func FullParams() Params {
 	}
 }
 
-func (p Params) config(mode Mode, threads int) Config {
+// Config is the machine p describes for one design point: Table II with
+// p's log, cache and NVRAM sizes applied.
+func (p Params) Config(mode Mode, threads int) Config {
 	cfg := DefaultConfig(mode, threads)
 	if p.LogBytes != 0 {
 		cfg.LogBytes = p.LogBytes
@@ -84,31 +86,58 @@ func (p Params) config(mode Mode, threads int) Config {
 	return cfg
 }
 
-// RunMicro executes one (microbenchmark, mode, threads) cell and returns
-// its metrics.
-func RunMicro(benchName string, mode Mode, threads int, p Params) (Run, error) {
-	w, err := bench.New(benchName, bench.Config{
+// workload is the part of bench.Workload and whisper.Workload a cell needs.
+type workload interface {
+	Setup(s *System) error
+	Run(ctx Ctx, thread int)
+}
+
+// micro builds the named microbenchmark at p's sizes.
+func (p Params) micro(name string, threads int, seed int64) (bench.Workload, error) {
+	return bench.New(name, bench.Config{
 		Elements:      p.Elements,
 		TxnsPerThread: p.TxnsPerThread,
 		Threads:       threads,
 		Values:        p.Values,
-		Seed:          p.Seed,
+		Seed:          seed,
 	})
+}
+
+// populate builds the (mode, threads) machine p describes and sets w up
+// on it — how every harness entry point (run, trace, record, replay)
+// gets from a workload name to a machine ready to run.
+func (p Params) populate(name string, w workload, mode Mode, threads int) (*System, error) {
+	sys, err := NewSystem(p.Config(mode, threads))
 	if err != nil {
-		return Run{}, err
-	}
-	sys, err := NewSystem(p.config(mode, threads))
-	if err != nil {
-		return Run{}, err
+		return nil, err
 	}
 	if err := w.Setup(sys); err != nil {
+		return nil, err
+	}
+	sys.SetBenchName(name)
+	return sys, nil
+}
+
+// runCell populates w and runs it to completion.
+func (p Params) runCell(name string, w workload, mode Mode, threads int) (Run, error) {
+	sys, err := p.populate(name, w, mode, threads)
+	if err != nil {
 		return Run{}, err
 	}
-	sys.SetBenchName(benchName)
 	if err := sys.RunN(w.Run); err != nil {
-		return Run{}, fmt.Errorf("%s/%s/%dt: %w", benchName, mode, threads, err)
+		return Run{}, fmt.Errorf("%s/%s/%dt: %w", name, mode, threads, err)
 	}
 	return sys.Stats(), nil
+}
+
+// RunMicro executes one (microbenchmark, mode, threads) cell and returns
+// its metrics.
+func RunMicro(benchName string, mode Mode, threads int, p Params) (Run, error) {
+	w, err := p.micro(benchName, threads, p.Seed)
+	if err != nil {
+		return Run{}, err
+	}
+	return p.runCell(benchName, w, mode, threads)
 }
 
 // RunWhisper executes one (kernel, mode, threads) cell.
@@ -122,18 +151,7 @@ func RunWhisper(kernel string, mode Mode, threads int, p Params) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
-	sys, err := NewSystem(p.config(mode, threads))
-	if err != nil {
-		return Run{}, err
-	}
-	if err := w.Setup(sys); err != nil {
-		return Run{}, err
-	}
-	sys.SetBenchName(kernel)
-	if err := sys.RunN(w.Run); err != nil {
-		return Run{}, fmt.Errorf("%s/%s/%dt: %w", kernel, mode, threads, err)
-	}
-	return sys.Stats(), nil
+	return p.runCell(kernel, w, mode, threads)
 }
 
 // RunMixedMicro runs several microbenchmarks CONCURRENTLY on one machine,
@@ -142,7 +160,7 @@ func RunWhisper(kernel string, mode Mode, threads int, p Params) (Run, error) {
 // multithreading discussion). Returns the combined run metrics.
 func RunMixedMicro(benchNames []string, mode Mode, threadsPer int, p Params) (Run, error) {
 	total := len(benchNames) * threadsPer
-	sys, err := NewSystem(p.config(mode, total))
+	sys, err := NewSystem(p.Config(mode, total))
 	if err != nil {
 		return Run{}, err
 	}
@@ -152,13 +170,7 @@ func RunMixedMicro(benchNames []string, mode Mode, threadsPer int, p Params) (Ru
 	}
 	plan := make([]slot, total)
 	for g, name := range benchNames {
-		w, err := bench.New(name, bench.Config{
-			Elements:      p.Elements,
-			TxnsPerThread: p.TxnsPerThread,
-			Threads:       threadsPer,
-			Values:        p.Values,
-			Seed:          p.Seed + int64(g),
-		})
+		w, err := p.micro(name, threadsPer, p.Seed+int64(g))
 		if err != nil {
 			return Run{}, err
 		}
@@ -195,39 +207,31 @@ func FigureModes() []Mode {
 // the results. progress (optional) is called before each cell.
 func RunMicroGrid(benches []string, threadCounts []int, modes []Mode, p Params,
 	progress func(bench string, mode Mode, threads int)) (*RunSet, error) {
-	rs := NewRunSet()
-	for _, b := range benches {
-		for _, th := range threadCounts {
-			for _, m := range modes {
-				if progress != nil {
-					progress(b, m, th)
-				}
-				r, err := RunMicro(b, m, th, p)
-				if err != nil {
-					return nil, err
-				}
-				rs.Put(r)
-			}
-		}
-	}
-	return rs, nil
+	return runGrid(RunMicro, benches, threadCounts, modes, p, progress)
 }
 
 // RunWhisperGrid runs every (kernel, mode) combination at a fixed thread
 // count (the paper reports WHISPER at one configuration).
 func RunWhisperGrid(kernels []string, threads int, modes []Mode, p Params,
 	progress func(kernel string, mode Mode, threads int)) (*RunSet, error) {
+	return runGrid(RunWhisper, kernels, []int{threads}, modes, p, progress)
+}
+
+func runGrid(run func(string, Mode, int, Params) (Run, error), names []string, threadCounts []int,
+	modes []Mode, p Params, progress func(string, Mode, int)) (*RunSet, error) {
 	rs := NewRunSet()
-	for _, k := range kernels {
-		for _, m := range modes {
-			if progress != nil {
-				progress(k, m, threads)
+	for _, name := range names {
+		for _, th := range threadCounts {
+			for _, m := range modes {
+				if progress != nil {
+					progress(name, m, th)
+				}
+				r, err := run(name, m, th, p)
+				if err != nil {
+					return nil, err
+				}
+				rs.Put(r)
 			}
-			r, err := RunWhisper(k, m, threads, p)
-			if err != nil {
-				return nil, err
-			}
-			rs.Put(r)
 		}
 	}
 	return rs, nil

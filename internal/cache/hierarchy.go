@@ -125,7 +125,7 @@ func NewHierarchy(cfg HierarchyConfig, backing Backing) (*Hierarchy, error) {
 			// truncation keeps waiting on DirtyAnywhere/LineWriteDone.
 			return false
 		}
-		h.backing.WriteBackLine(h.fwbNow, addr, data)
+		h.writeBack(h.fwbNow, addr, data)
 		h.fwbForced++
 		h.scope.NoteForcedWB(uint64(addr))
 		h.tracer.Emit(h.traceRing, h.fwbNow, obs.KindFwbForced, 0, uint64(addr))
@@ -163,6 +163,20 @@ func (h *Hierarchy) TotalLines() int {
 		n += c.NumLines()
 	}
 	return n
+}
+
+// writeBack posts a dirty line to the backing and returns the write's
+// completion cycle. The caller leaves the line valid-clean, so it can later
+// be evicted silently and L2 will serve its own copy of the line; that
+// copy (when there is one, and data is not it) is therefore refreshed
+// here. Data moves, no cycle is charged: the L2 copy's dirty bit and LRU
+// position are untouched.
+func (h *Hierarchy) writeBack(now uint64, addr mem.Addr, data *mem.Line) uint64 {
+	done := h.backing.WriteBackLine(now, addr.Line(), data)
+	if l2 := h.l2.resident(addr); l2 != nil && l2 != data {
+		*l2 = *data
+	}
+	return done
 }
 
 // installL1 places a line into core's L1 and routes any displaced dirty
@@ -328,19 +342,15 @@ func (h *Hierarchy) Flush(now uint64, core int, addr mem.Addr) (uint64, bool) {
 	t := h.startL1(now, core) + h.cfg.L1.HitCycles
 	for _, c := range h.l1 {
 		if data, ok := c.DirtyLine(addr); ok {
-			done := h.backing.WriteBackLine(t, addr.Line(), data)
+			done := h.writeBack(t, addr, data)
 			c.CleanLine(addr)
-			// Keep the L2 copy (if any) coherent and clean.
-			if l2data := h.l2.resident(addr); l2data != nil {
-				*l2data = *data
-				h.l2.CleanLine(addr)
-			}
+			h.l2.CleanLine(addr) // the refreshed L2 copy (if any) is clean too
 			return done, true
 		}
 	}
 	t = h.startL2(t) + h.cfg.L2.HitCycles
 	if data, ok := h.l2.DirtyLine(addr); ok {
-		done := h.backing.WriteBackLine(t, addr.Line(), data)
+		done := h.writeBack(t, addr, data)
 		h.l2.CleanLine(addr)
 		return done, true
 	}
@@ -402,16 +412,11 @@ func (h *Hierarchy) FlushAllDirty(now uint64) uint64 {
 	done := now
 	flush := func(c *Cache) {
 		c.ForEachDirty(func(addr mem.Addr, data *mem.Line) {
-			if d := h.backing.WriteBackLine(now, addr, data); d > done {
+			if d := h.writeBack(now, addr, data); d > done {
 				done = d
 			}
+			c.CleanLine(addr)
 		})
-		// Clean in a second pass to avoid mutating during iteration.
-		var addrs []mem.Addr
-		c.ForEachDirty(func(addr mem.Addr, _ *mem.Line) { addrs = append(addrs, addr) })
-		for _, a := range addrs {
-			c.CleanLine(a)
-		}
 	}
 	for _, c := range h.l1 {
 		flush(c)

@@ -222,32 +222,49 @@ func TestInvalidateAllLosesDirtyData(t *testing.T) {
 	}
 }
 
-// Property-style test: under a random single-core op stream, the hierarchy
-// must behave exactly like a flat memory (cache transparency).
+// Property-style test: under a random op stream — loads, stores, clwb
+// flushes, FWB scan passes and emergency full flushes over a working set
+// that overflows both L1 and L2 — the hierarchy must behave exactly like
+// a flat memory (cache transparency), and once everything is flushed the
+// backing must hold exactly the shadow's contents.
 func TestCacheCoherentWithFlatMemory(t *testing.T) {
 	h, b := testHierarchy(t, 2)
+	const region = 32 << 10 // 4x the test L2, 32x one test L1
 	shadow := map[mem.Addr]mem.Word{}
 	rng := rand.New(rand.NewSource(7))
 	now := uint64(0)
-	for i := 0; i < 20000; i++ {
-		addr := mem.Addr(rng.Intn(4096)) &^ 7 // word-aligned in 4KB region
+	for i := 0; i < 40000; i++ {
+		addr := mem.Addr(rng.Intn(region)) &^ 7 // word-aligned
 		core := rng.Intn(2)
-		if rng.Intn(2) == 0 {
+		switch op := rng.Intn(100); {
+		case op < 45:
 			w := mem.Word(rng.Uint64())
 			_, done, _ := h.StoreWord(now, core, addr, w)
 			shadow[addr.WordAligned()] = w
 			now = done
-		} else {
+		case op < 90:
 			w, done, _ := h.LoadWord(now, core, addr)
-			want, ok := shadow[addr.WordAligned()]
-			if !ok {
-				want = 0 // backing starts zeroed
-			}
-			if w != want {
+			if want := shadow[addr.WordAligned()]; w != want { // backing starts zeroed
 				t.Fatalf("op %d: load %v = %#x, want %#x", i, addr, w, want)
 			}
 			now = done
+		case op < 96:
+			now, _ = h.Flush(now, core, addr)
+		case op < 99:
+			h.FwbScan(now)
+		default:
+			now = h.FlushAllDirty(now)
+		}
+		if i%1000 == 0 {
+			if err := h.CheckAllCoherence(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
 		}
 	}
-	_ = b
+	h.FlushAllDirty(now)
+	for addr, want := range shadow {
+		if got := b.img.ReadWord(addr); got != want {
+			t.Fatalf("after the final flush backing[%v] = %#x, want %#x", addr, got, want)
+		}
+	}
 }

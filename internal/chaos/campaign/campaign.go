@@ -1,7 +1,7 @@
 // Package campaign is the chaos campaign engine behind cmd/pmchaos: it
 // sweeps seeds across a scenario matrix, runs each (scenario, seed) pair
 // as one fully instrumented fault-injection run, and audits every run
-// with the same machinery pmdoctor -strict uses — recovery replay for
+// with the same machinery pmctl doctor -strict uses — recovery replay for
 // the simulated machine, flight-dump analysis (verdict-vs-replay
 // agreement, acked-write loss) for the server.
 //

@@ -17,7 +17,7 @@ import (
 // client traffic through the injected network faults (reconnecting and
 // resending whenever a chaos conn-drop kills the connection), leave a
 // window of requests in flight, snapshot the flight recorder, and kill
-// the server mid-traffic. The audit is pmdoctor's: analyze the dump
+// the server mid-traffic. The audit is pmctl doctor's: analyze the dump
 // against the shard images (every verdict must agree with a recovery
 // replay, no acked write may be lost), then restart the server over the
 // same images and read back every acknowledged key.
@@ -169,7 +169,7 @@ func runServer(sc Scenario, seed int64, baseDir string, res *RunResult) {
 	closeClient()
 	res.AckedWrites = len(acked)
 
-	// pmdoctor's audit, in-process: every flight verdict must agree with
+	// pmctl doctor's audit, in-process: every flight verdict must agree with
 	// the recovery replay over the shard images, and no acked span may
 	// have been rolled back.
 	d, err := flight.LoadDump(dumpPath)
@@ -180,9 +180,7 @@ func runServer(sc Scenario, seed int64, baseDir string, res *RunResult) {
 	if d.Chaos == nil || d.Chaos.Seed != seed {
 		res.failf("dump is missing the chaos ledger (seed not stamped)")
 	}
-	an, err := flight.Analyze(d, func(shard int) (io.ReadCloser, error) {
-		return os.Open(filepath.Join(dir, fmt.Sprintf("shard-%03d.img", shard)))
-	})
+	an, err := flight.Analyze(d, d.ImageOpener(dumpPath, dir))
 	if err != nil {
 		res.failf("dump analysis: %v", err)
 		return

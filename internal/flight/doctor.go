@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -101,7 +102,7 @@ func (a *Analysis) Agreement() bool {
 }
 
 // AckedLoss counts findings where an acknowledged write did not survive
-// recovery — the one verdict class that must exit pmdoctor -strict
+// recovery — the one verdict class that must exit pmctl doctor -strict
 // non-zero (a torn-but-rolled-back in-flight request is normal crash
 // behavior; a lost ack is a broken durability promise).
 func (a *Analysis) AckedLoss() int {
@@ -131,11 +132,8 @@ type ImageOpener func(shard int) (io.ReadCloser, error)
 func (d *Dump) ImageOpener(dumpPath, imagesDir string) ImageOpener {
 	return func(shard int) (io.ReadCloser, error) {
 		var recorded string
-		for _, st := range d.ShardStates {
-			if st.Shard == shard {
-				recorded = st.ImagePath
-				break
-			}
+		if st := d.shardState(shard); st != nil {
+			recorded = st.ImagePath
 		}
 		base := filepath.Base(recorded)
 		if recorded == "" {
@@ -161,6 +159,63 @@ func (d *Dump) ImageOpener(dumpPath, imagesDir string) ImageOpener {
 		}
 		return nil, firstErr
 	}
+}
+
+// shardState finds the dump's record of one shard (nil if it has none).
+func (d *Dump) shardState(shard int) *ShardState {
+	for i := range d.ShardStates {
+		if d.ShardStates[i].Shard == shard {
+			return &d.ShardStates[i]
+		}
+	}
+	return nil
+}
+
+// DurableLog is what a shard's NVRAM image durably holds of its log, read
+// exactly as recovery reads it: nvlog.Walk from the bases the dump
+// recorded. The doctor's verdicts and the scope residency bill are both
+// computed from it.
+type DurableLog struct {
+	Image   *mem.Physical
+	Bases   []mem.Addr
+	Regions []nvlog.Region
+	// Records counts the live records per transaction ID (torn tails
+	// excluded, as recovery excludes them); Commits marks the ones with a
+	// durable commit record.
+	Records map[uint16]int
+	Commits map[uint16]bool
+}
+
+// ReadLog loads the shard's image through open and walks its log.
+func (st *ShardState) ReadLog(open ImageOpener) (*DurableLog, error) {
+	if len(st.LogBases) == 0 {
+		return nil, errors.New("no log regions recorded")
+	}
+	rc, err := open(st.Shard)
+	if err != nil {
+		return nil, err
+	}
+	img, err := mem.ReadPhysical(rc)
+	rc.Close()
+	if err != nil {
+		return nil, err
+	}
+	log := &DurableLog{Image: img, Records: map[uint16]int{}, Commits: map[uint16]bool{}}
+	for _, b := range st.LogBases {
+		log.Bases = append(log.Bases, mem.Addr(b))
+	}
+	if log.Regions, err = nvlog.Walk(img, log.Bases); err != nil {
+		return nil, err
+	}
+	for _, r := range log.Regions {
+		for _, e := range r.Entries {
+			log.Records[e.TxID]++
+			if e.Kind == nvlog.KindCommit {
+				log.Commits[e.TxID] = true
+			}
+		}
+	}
+	return log, nil
 }
 
 // Analyze cross-checks a dump against the shards' NVRAM log images:
@@ -214,40 +269,19 @@ func Analyze(d *Dump, open ImageOpener) (*Analysis, error) {
 
 	for _, shardIdx := range shards {
 		spans := byShard[shardIdx]
-		var st *ShardState
-		for i := range d.ShardStates {
-			if d.ShardStates[i].Shard == shardIdx {
-				st = &d.ShardStates[i]
-				break
-			}
-		}
+		st := d.shardState(shardIdx)
 		if st == nil || len(st.LogBases) == 0 {
 			an.InFlightUnattributed += len(spans)
 			continue
 		}
-		rc, err := open(shardIdx)
-		if err != nil {
-			return nil, fmt.Errorf("flight: shard %d image: %w", shardIdx, err)
-		}
-		img, err := mem.ReadPhysical(rc)
-		rc.Close()
-		if err != nil {
-			return nil, fmt.Errorf("flight: shard %d image: %w", shardIdx, err)
-		}
-
-		bases := make([]mem.Addr, len(st.LogBases))
-		for i, b := range st.LogBases {
-			bases[i] = mem.Addr(b)
-		}
-
-		// Scan the durable records FIRST: the recovery pass below undoes
+		// Read the durable records FIRST: the recovery pass below undoes
 		// uncommitted data and scrubs its working copy's log metadata,
 		// so the evidence must be collected before replaying.
-		records, commits, err := scanTxns(img, bases)
+		log, err := st.ReadLog(open)
 		if err != nil {
-			return nil, fmt.Errorf("flight: shard %d log scan: %w", shardIdx, err)
+			return nil, fmt.Errorf("flight: shard %d image: %w", shardIdx, err)
 		}
-		rep, err := recovery.RecoverAll(img, bases)
+		rep, err := recovery.RecoverAll(log.Image, log.Bases)
 		if err != nil {
 			return nil, fmt.Errorf("flight: shard %d recovery: %w", shardIdx, err)
 		}
@@ -258,8 +292,8 @@ func Analyze(d *Dump, open ImageOpener) (*Analysis, error) {
 		for _, sp := range spans {
 			f := Finding{
 				Span:      sp,
-				Records:   records[sp.TxID],
-				HasCommit: commits[sp.TxID],
+				Records:   log.Records[sp.TxID],
+				HasCommit: log.Commits[sp.TxID],
 				Timeline:  d.Timeline(sp.ID),
 			}
 			switch {
@@ -287,7 +321,7 @@ func Analyze(d *Dump, open ImageOpener) (*Analysis, error) {
 			// (or durable records with no commit marker) is a lost ack.
 			// Zero records with no commit is truncation — the log
 			// legitimately forgot a fully written-back transaction.
-			f.Acked = sp.Status == int(statusOK) && mutatingOp(sp.Op)
+			f.Acked = sp.Status == statusOK && mutatingOp(sp.Op)
 			f.AckedLost = f.Acked &&
 				(f.RecoveryUncommitted || (f.Records > 0 && !f.HasCommit))
 			sa.Findings = append(sa.Findings, f)
@@ -300,45 +334,48 @@ func Analyze(d *Dump, open ImageOpener) (*Analysis, error) {
 	return an, nil
 }
 
-// Wire constants mirrored from internal/server/protocol.go (server
-// imports flight, so flight cannot import them back; the wire format is
-// frozen and these bytes are part of the dump contract).
+// Wire opcodes and statuses mirrored from internal/server/protocol.go
+// (server imports flight, so flight cannot import them back; the wire
+// format is frozen and these bytes are part of the dump contract). This
+// is the one name table: the server's metric labels, the pulse
+// document's exemplars and the doctor's span lines all render through
+// OpName and StatusName.
 const (
-	statusOK  = byte(0x00)
-	opPut     = byte(0x02)
-	opDel     = byte(0x03)
-	opTxnWire = byte(0x04)
+	statusOK  = 0x00
+	opPut     = 0x02
+	opDel     = 0x03
+	opTxnWire = 0x04
 )
+
+var (
+	opNames     = [...]string{0x01: "get", opPut: "put", opDel: "del", opTxnWire: "txn", 0x05: "stats", 0x06: "metrics"}
+	statusNames = [...]string{statusOK: "ok", 0x01: "not-found", 0x02: "retry", 0x03: "err"}
+)
+
+// OpName is the display name of a wire opcode.
+func OpName(op uint8) string {
+	if int(op) < len(opNames) && opNames[op] != "" {
+		return opNames[op]
+	}
+	return fmt.Sprintf("op%02x", op)
+}
+
+// StatusName is the display name of a span's response status; -1 marks
+// a span that never got one.
+func StatusName(status int) string {
+	switch {
+	case status == -1:
+		return "unanswered"
+	case status >= 0 && status < len(statusNames):
+		return statusNames[status]
+	}
+	return fmt.Sprintf("status%02x", status)
+}
 
 // mutatingOp reports whether the opcode carries a durability promise
 // when acked (PUT, DEL, and the atomic TXN batch; reads promise nothing).
 func mutatingOp(op uint8) bool {
 	return op == opPut || op == opDel || op == opTxnWire
-}
-
-// scanTxns counts the durable log records and commit markers per txid
-// across every log region, torn records excluded (nvlog.Scan stops at
-// the first torn bit — exactly what recovery will trust).
-func scanTxns(img *mem.Physical, bases []mem.Addr) (records map[uint16]int, commits map[uint16]bool, err error) {
-	records = map[uint16]int{}
-	commits = map[uint16]bool{}
-	for _, base := range bases {
-		meta, err := nvlog.ReadMeta(img, base)
-		if err != nil {
-			return nil, nil, err
-		}
-		entries, _, err := nvlog.Scan(img, base, meta)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, e := range entries {
-			records[e.TxID]++
-			if e.Kind == nvlog.KindCommit {
-				commits[e.TxID] = true
-			}
-		}
-	}
-	return records, commits, nil
 }
 
 func toSet(ids []uint16) map[uint16]bool {

@@ -56,7 +56,7 @@ func (s *ShardState) Occupancy() float64 {
 }
 
 // Dump is the versioned black-box snapshot written on panic, SIGTERM,
-// or an explicit WriteFlightDump. Everything pmdoctor needs to explain
+// or an explicit WriteFlightDump. Everything pmctl doctor needs to explain
 // a dead process, in one JSON document.
 type Dump struct {
 	Version int    `json:"version"`

@@ -1,6 +1,6 @@
 // Package flight is the crash flight recorder: end-to-end request
 // spans, an always-on in-flight span table, and the versioned black-box
-// dump that pmdoctor reads after a crash.
+// dump that pmctl doctor reads after a crash.
 //
 // The paper's argument is about ordering across a pipeline — log
 // records must leave the core before cached data, FWB must beat log
@@ -60,20 +60,6 @@ const (
 	StageAck            // response handed to the conn writer
 	numStages
 )
-
-var stageNames = [numStages]string{"recv", "enqueue", "apply", "fwb", "durable", "ack"}
-
-// StageName labels a stage index ("recv", "enqueue", "apply", "fwb",
-// "durable", "ack").
-func StageName(i int) string {
-	if i < 0 || i >= numStages {
-		return "unknown"
-	}
-	return stageNames[i]
-}
-
-// NumStages is the stage count (len of a full per-stage vector).
-const NumStages = numStages
 
 // Span is one in-flight request's flight record. Every field is atomic:
 // the owning request's goroutines (conn reader → shard → conn writer)
@@ -188,7 +174,7 @@ type SpanSnapshot struct {
 func (s *SpanSnapshot) Tag() uint32 { return SpanTag(s.ID) }
 
 // LatencyStage names the per-stage latency decomposition of a finished
-// span, in pipeline order (the waterfall pmtop draws).
+// span, in pipeline order (the waterfall pmctl top draws).
 const (
 	LatRoute = iota // recv → enqueue: decode + shard routing
 	LatQueue        // enqueue → apply: shard queue wait

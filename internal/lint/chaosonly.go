@@ -25,7 +25,7 @@ const (
 // feature. The rule flags every arming entry point — SetChaos calls,
 // chaos.New, and writes to the Chaos field of sim.Config/server.Config —
 // outside the sanctioned packages. Reading a ledger (flight dumps,
-// pmdoctor) is not arming and stays unrestricted.
+// pmctl doctor) is not arming and stays unrestricted.
 var Chaosonly = &Analyzer{
 	Name: "chaosonly",
 	Doc:  "fault-injection arming (chaos.New, SetChaos, Config.Chaos writes) only in chaos/campaign, cmd/pmchaos, and sim construction",

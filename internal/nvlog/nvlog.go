@@ -79,7 +79,7 @@ const (
 	// Record byte-class split (see EncodeInto): bytes 0-13 are header
 	// (flags, thread, txid, magic, pass, reserved, 48-bit address),
 	// 14-15 the FNV checksum, 16-23 the undo word, 24-31 the redo word.
-	// Scope accounting and the pmscope offline analyzer attribute every
+	// Scope accounting and the pmctl scope offline analyzer attribute every
 	// log byte to one of these classes; update records carry all four,
 	// header/commit records only header+checksum (their value words are
 	// reserved-zero and count as header padding).
@@ -678,4 +678,59 @@ func Scan(img *mem.Physical, base mem.Addr, meta Meta) ([]Entry, uint64, error) 
 		seq++
 	}
 	return out, seq, nil
+}
+
+// Region is one log region as recovery reads it from a post-crash image.
+type Region struct {
+	// Base is where the log durably lives: the base the walk was given,
+	// or the end of its log_grow forward chain.
+	Base mem.Addr
+	// Hops counts the completed grows followed to reach Base.
+	Hops int
+	Meta Meta
+	// Entries and TrueTail are Scan's result over Base (Walk only).
+	Entries  []Entry
+	TrueTail uint64
+}
+
+// Resolve reads the metadata at base and, when log_grow migrated the
+// region away, follows the durable forward pointers to its successor
+// (bounded — each hop is one completed grow). A grow whose forward write
+// never became durable is not followed: the log still lives at base.
+func Resolve(img *mem.Physical, base mem.Addr) (Region, error) {
+	r := Region{Base: base}
+	var err error
+	if r.Meta, err = ReadMeta(img, base); err != nil {
+		return r, err
+	}
+	for r.Meta.Forward != 0 {
+		r.Hops++
+		if r.Hops > 64 {
+			return r, fmt.Errorf("nvlog: forward chain too long from %v", base)
+		}
+		r.Base = r.Meta.Forward
+		if r.Meta, err = ReadMeta(img, r.Base); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// Walk is the one definition of "what recovery would read": every base is
+// resolved to its live region and scanned, in bases order. Recovery, the
+// flight doctor and the scope residency pass all read the log through it,
+// so none of them can trust a record the others would not.
+func Walk(img *mem.Physical, bases []mem.Addr) ([]Region, error) {
+	regions := make([]Region, 0, len(bases))
+	for _, base := range bases {
+		r, err := Resolve(img, base)
+		if err != nil {
+			return nil, err
+		}
+		if r.Entries, r.TrueTail, err = Scan(img, r.Base, r.Meta); err != nil {
+			return nil, err
+		}
+		regions = append(regions, r)
+	}
+	return regions, nil
 }

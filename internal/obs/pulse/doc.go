@@ -1,5 +1,5 @@
 // Doc building: the versioned JSON document served at /pulse.json and
-// rendered by pmtop. BuildDoc aggregates the last N completed windows —
+// rendered by pmctl top. BuildDoc aggregates the last N completed windows —
 // delta bucket vectors are summed before quantiling, so a multi-window
 // p99 is a real quantile of the union, not an average of averages.
 package pulse
@@ -12,7 +12,7 @@ import (
 	"pmemlog/internal/obs"
 )
 
-// DocVersion is the /pulse.json schema version. Consumers (pmtop)
+// DocVersion is the /pulse.json schema version. Consumers (pmctl top)
 // refuse documents with a version they do not know.
 //
 // History: v1 = latency/liveness (ops, stages, shards, SLO, history);
@@ -45,7 +45,7 @@ type OpDoc struct {
 }
 
 // StageDoc is one pipeline stage's windowed latency summary plus its
-// share of the end-to-end p99 — the waterfall pmtop draws. Shares of a
+// share of the end-to-end p99 — the waterfall pmctl top draws. Shares of a
 // fully-marked pipeline sum to ~1.0 of the e2e p99; a stage share that
 // dominates names the bottleneck in the paper's vocabulary (an "fwb"
 // share spike is forced-write-back pressure).
@@ -144,7 +144,7 @@ type SLODoc struct {
 
 // ExemplarDoc is one retained tail request with its stage breakdown.
 // SpanID is the wire span ID — resolvable against a flight dump
-// (pmdoctor -span). Stage durations of -1 mean the mark was missing.
+// (pmctl doctor -span). Stage durations of -1 mean the mark was missing.
 type ExemplarDoc struct {
 	SpanID  uint64 `json:"span_id"`
 	Op      string `json:"op"`
@@ -159,7 +159,7 @@ type ExemplarDoc struct {
 }
 
 // HistoryDoc is the per-window trend over every retained window, oldest
-// first — what pmtop draws sparklines from.
+// first — what pmctl top draws sparklines from.
 type HistoryDoc struct {
 	WindowNS         []int64   `json:"window_ns"`
 	ThroughputPerSec []float64 `json:"throughput_per_sec"`
@@ -500,7 +500,7 @@ func exemplarDoc(e *Exemplar) ExemplarDoc {
 	e.Span.StageDurations(&st)
 	return ExemplarDoc{
 		SpanID:  e.Span.ID,
-		Op:      opName(e.Span.Op),
+		Op:      flight.OpName(e.Span.Op),
 		Shard:   e.Span.Shard,
 		Status:  e.Span.Status,
 		LatNS:   e.LatNS,
@@ -510,23 +510,4 @@ func exemplarDoc(e *Exemplar) ExemplarDoc {
 		FwbNS:   st[flight.LatFWB],
 		AckNS:   st[flight.LatAck],
 	}
-}
-
-// opName maps a wire opcode to its display name (matches pmdoctor).
-func opName(op uint8) string {
-	switch op {
-	case 0x01:
-		return "get"
-	case 0x02:
-		return "put"
-	case 0x03:
-		return "del"
-	case 0x04:
-		return "txn"
-	case 0x05:
-		return "stats"
-	case 0x06:
-		return "metrics"
-	}
-	return "other"
 }

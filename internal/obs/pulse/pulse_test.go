@@ -256,7 +256,7 @@ func TestPulseSchemaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(*d, back) {
 		t.Fatalf("schema round trip drifted:\n  out: %+v\n  back: %+v", *d, back)
 	}
-	// Spot-check the wire names are stable — pmtop depends on them.
+	// Spot-check the wire names are stable — pmctl top depends on them.
 	var loose map[string]any
 	if err := json.Unmarshal(raw, &loose); err != nil {
 		t.Fatal(err)

@@ -77,36 +77,21 @@ func RecoverAll(img *mem.Physical, logBases []mem.Addr) (Report, error) {
 
 	// Step 1 per region: pointers + torn-bit scan. A region that log_grow
 	// migrated away from holds a durable forward pointer to its successor;
-	// follow it (bounded — each hop is one completed grow).
+	// the walk follows it.
+	regions, err := nvlog.Walk(img, logBases)
+	if err != nil {
+		return rep, fmt.Errorf("recovery: %w", err)
+	}
 	var entries []nvlog.Entry
 	var meta nvlog.Meta
-	for _, base := range logBases {
-		m, err := nvlog.ReadMeta(img, base)
-		if err != nil {
-			return rep, fmt.Errorf("recovery: %w", err)
-		}
-		hops := 0
-		for m.Forward != 0 {
-			hops++
-			if hops > 64 {
-				return rep, fmt.Errorf("recovery: forward chain too long from %v", base)
-			}
-			base = m.Forward
-			if m, err = nvlog.ReadMeta(img, base); err != nil {
-				return rep, fmt.Errorf("recovery: %w", err)
-			}
-		}
-		rep.Hops = append(rep.Hops, hops)
-		es, trueTail, err := nvlog.Scan(img, base, m)
-		if err != nil {
-			return rep, fmt.Errorf("recovery: %w", err)
-		}
-		entries = append(entries, es...)
-		rep.EntriesScanned += len(es)
-		rep.TrueTail = trueTail // last region's (single-log callers use this)
-		rep.Heads = append(rep.Heads, m.Head)
-		meta = m
-		defer resetMeta(img, base, m, trueTail) // Step 4, after replay
+	for _, r := range regions {
+		rep.Hops = append(rep.Hops, r.Hops)
+		entries = append(entries, r.Entries...)
+		rep.EntriesScanned += len(r.Entries)
+		rep.TrueTail = r.TrueTail // last region's (single-log callers use this)
+		rep.Heads = append(rep.Heads, r.Meta.Head)
+		meta = r.Meta
+		defer resetMeta(img, r.Base, r.Meta, r.TrueTail) // Step 4, after replay
 	}
 
 	// Step 2: classify transactions by durable commit records.

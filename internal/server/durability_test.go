@@ -151,7 +151,7 @@ func TestAckedDurabilityUnderKill(t *testing.T) {
 
 		// Kill at a random point mid-traffic. When PMFLIGHT_DUMP_DIR is
 		// set (CI does this), capture a flight dump first so the kill
-		// leaves a forensic artifact pmdoctor can be pointed at.
+		// leaves a forensic artifact pmctl doctor can be pointed at.
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		time.Sleep(time.Duration(2+rng.Intn(60)) * time.Millisecond)
 		if dumpDir := os.Getenv("PMFLIGHT_DUMP_DIR"); dumpDir != "" {

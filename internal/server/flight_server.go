@@ -19,7 +19,7 @@ import (
 // the shards' published views, never enqueues to a possibly-dead shard.
 
 // FlightDumpPath is where panic/SIGTERM dumps land: next to the shard
-// images, so pmdoctor finds both halves of the evidence together.
+// images, so pmctl doctor finds both halves of the evidence together.
 func (s *Server) FlightDumpPath() string {
 	return filepath.Join(s.cfg.Dir, "flight-dump.json")
 }

@@ -19,25 +19,6 @@ import (
 // same Chrome trace_event exporter as a simulator trace (with -ghz 1 a
 // "cycle" is one nanosecond).
 
-// opName labels request opcodes for metric series.
-func opName(code byte) string {
-	switch code {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDel:
-		return "del"
-	case OpTxn:
-		return "txn"
-	case OpStats:
-		return "stats"
-	case OpMetrics:
-		return "metrics"
-	}
-	return "unknown"
-}
-
 // dataOps are the opcodes that get latency histograms and per-op
 // request counters; introspection opcodes are excluded so scraping the
 // server does not perturb the series being scraped.
@@ -51,7 +32,7 @@ func (s *Server) initObs() {
 	s.opHist = make(map[byte]*obs.Histogram, len(dataOps))
 	s.opCount = make(map[byte]*obs.Counter, len(dataOps))
 	for _, code := range dataOps {
-		lbl := fmt.Sprintf("op=%q", opName(code))
+		lbl := fmt.Sprintf("op=%q", flight.OpName(code))
 		s.opHist[code] = s.reg.Histogram("pmserver_op_latency_ns", lbl,
 			"request latency from dispatch to response, nanoseconds")
 		s.opCount[code] = s.reg.Counter("pmserver_requests_total", lbl,
@@ -63,7 +44,7 @@ func (s *Server) initObs() {
 		// Ring i = shard i; the last ring is the shared network ring.
 		// The tracer doubles as the flight recorder's black box, so it
 		// is created and recording from the first request; Disable/Enable
-		// still work for explicit capture windows (pmtrace workflows).
+		// still work for explicit capture windows (pmctl trace workflows).
 		s.tracer = obs.NewTracer(s.cfg.Shards+1, s.cfg.TraceEvents)
 		s.tracer.Enable()
 	}
@@ -99,7 +80,7 @@ func (s *Server) netRing() int { return s.cfg.Shards }
 // to OpMetrics: gauges set at render time (machine counters, tracer and
 // span accounting, the latest pulse window) beside the request-path
 // counters and latency histograms, which are live registry handles
-// updated in dispatch.
+// updated on the request path.
 func (s *Server) metricsResponse() Response {
 	s.viewGauges()
 	set := s.setGauge

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pmemlog/internal/flight"
 	"pmemlog/internal/sim"
 )
 
@@ -57,7 +58,7 @@ func TestShardApplySteadyStateZeroAlloc(t *testing.T) {
 			var resp Response
 			resp, scratch = sh.apply(ctx, r, scratch[:0])
 			if resp.Status != StatusOK {
-				t.Errorf("op %d %s: %+v", i, opName(r.Code), resp)
+				t.Errorf("op %d %s: %+v", i, flight.OpName(r.Code), resp)
 				return
 			}
 		}

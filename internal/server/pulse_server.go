@@ -16,7 +16,7 @@ import (
 // the conn writers fold every finished spanned request into the stage
 // and end-to-end histograms (and offer it to the tail-exemplar
 // capture), and the HTTP listener serves the windowed document at
-// /pulse.json — what pmtop renders.
+// /pulse.json — what pmctl top renders.
 
 // initPulse builds the stage/e2e/SLO registry handles and the windowed
 // collector. Called from Start after the shards exist; the ticker
@@ -44,7 +44,7 @@ func (s *Server) initPulse() {
 		SLOBudget:    s.cfg.SLOBudget,
 	})
 	for _, code := range dataOps {
-		c.TrackOp(opName(code), s.opHist[code])
+		c.TrackOp(flight.OpName(code), s.opHist[code])
 	}
 	for i := 0; i < flight.NumLatStages; i++ {
 		c.TrackStage(flight.LatStageName(i), s.stageHist[i])

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -133,12 +135,16 @@ func TestScopeCoalescibleZipfVsUniform(t *testing.T) {
 
 // TestScopeWrapForecastLive checks the wrap forecast against a wrap that
 // actually happens on a live server: warm a steady overwrite workload
-// through fixed-length windows, take the forecast, then keep driving the
-// identical workload until the shard's log pass advances — the observed
-// time to wrap must be within ±25% of the forecast. The log is sized so
-// the wrap takes several windows (quantization error stays well inside
-// the band) and the workload is pure overwrites (constant records per
-// put, so the warmed append rate is the true future rate).
+// through windows of identical shape, take the forecast, then keep
+// driving the identical workload until the shard's log pass advances.
+// The forecast is judged in windows, not wall seconds: its ETA divided by
+// the mean length of the windows it was computed over must match the
+// number of windows the wrap then took, within ±25% or ±1 window. A host
+// hiccup (an fsync stall) that stretches a warm-up window lowers the
+// measured append rate and lengthens the mean window by the same factor,
+// so it cancels instead of failing the test. The log is sized so the wrap
+// takes several windows and the workload is pure overwrites (constant
+// records per put, so the warmed append rate is the true future rate).
 func TestScopeWrapForecastLive(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Shards = 1
@@ -203,28 +209,35 @@ func TestScopeWrapForecastLive(t *testing.T) {
 		}
 	}
 	srv.Pulse().Tick()
-	for i := 0; i < 3; i++ {
+	const warm = 3
+	for i := 0; i < warm; i++ {
 		window()
 	}
 
-	forecast := fetchPulse(t, srv, "3").Scope.Shards[0]
+	doc := fetchPulse(t, srv, strconv.Itoa(warm))
+	forecast := doc.Scope.Shards[0]
 	if forecast.WrapETASeconds <= 0 {
 		t.Fatalf("no wrap forecast under steady appends: %+v", forecast)
 	}
+	var warmNS int64
+	for _, ns := range doc.History.WindowNS[len(doc.History.WindowNS)-warm:] {
+		warmNS += ns
+	}
+	forecastWindows := forecast.WrapETASeconds / (float64(warmNS) / warm / 1e9)
 
 	// Drive the identical workload until the pass counter advances.
 	pass0 := logPass()
-	start := time.Now()
+	observedWindows := 0.0
 	for logPass() == pass0 {
-		if time.Since(start) > 30*time.Second {
-			t.Fatalf("log never wrapped (forecast said %.2fs)", forecast.WrapETASeconds)
+		if observedWindows > 500 {
+			t.Fatalf("log never wrapped (forecast said %.1f windows)", forecastWindows)
 		}
 		window()
+		observedWindows++
 	}
-	observed := time.Since(start).Seconds()
 
-	if diff := forecast.WrapETASeconds - observed; diff > 0.25*observed || diff < -0.25*observed {
-		t.Fatalf("wrap forecast %.2fs vs observed %.2fs: outside ±25%%",
-			forecast.WrapETASeconds, observed)
+	if diff := math.Abs(forecastWindows - observedWindows); diff > 0.25*observedWindows && diff > 1 {
+		t.Fatalf("wrap forecast %.1f windows (%.2fs) vs observed %.0f: outside ±25%% and ±1 window",
+			forecastWindows, forecast.WrapETASeconds, observedWindows)
 	}
 }

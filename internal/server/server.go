@@ -204,7 +204,7 @@ type Server struct {
 	crossShard atomic.Uint64
 
 	// Observability (see metrics.go). The registry handles are created
-	// once in initObs; dispatch only touches the atomic handles.
+	// once in initObs; the request path only touches the atomic handles.
 	t0       time.Time
 	reg      *obs.Registry
 	tracer   *obs.Tracer
@@ -610,70 +610,6 @@ func (s *Server) routeAsync(cr *connReq, out chan *connReq) bool {
 	return true
 }
 
-// dispatch routes one request to its shard and waits for the answer,
-// recording the per-op latency histogram around the whole round trip
-// (queueing included — that is the latency a client observes).
-func (s *Server) dispatch(req *Request) Response {
-	if h := s.opHist[req.Code]; h != nil {
-		s.opCount[req.Code].Inc()
-		start := time.Now()
-		resp := s.route(req)
-		h.Observe(uint64(time.Since(start)))
-		return resp
-	}
-	return s.route(req)
-}
-
-func (s *Server) route(req *Request) Response {
-	s.requests.Add(1)
-	if s.draining.Load() {
-		s.noteRetry()
-		return Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs}
-	}
-	if req.Code == OpStats {
-		return s.statsResponse()
-	}
-	if req.Code == OpMetrics {
-		return s.metricsResponse()
-	}
-
-	var key []byte
-	if req.Code == OpTxn {
-		if len(req.Ops) == 0 {
-			return Response{Status: StatusOK}
-		}
-		key = req.Ops[0].Key
-		home := ShardOf(key, len(s.shards))
-		for _, op := range req.Ops[1:] {
-			if ShardOf(op.Key, len(s.shards)) != home {
-				s.crossShard.Add(1)
-				return Response{Status: StatusErr,
-					Err: "cross-shard txn: all keys of a TXN must hash to one shard"}
-			}
-		}
-	} else {
-		key = req.Key
-	}
-	home := ShardOf(key, len(s.shards))
-	sh := s.shards[home]
-	r := &request{req: req, resp: make(chan Response, 1)}
-	if !sh.tryEnqueue(r) {
-		s.noteRetry()
-		return Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs}
-	}
-	if s.tracer.Enabled() {
-		s.tracer.Emit(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(req.Code))
-	}
-	select {
-	case resp := <-r.resp:
-		return resp
-	case <-s.dead:
-		// The shard loops are gone (kill, or a shutdown race): the write
-		// was NOT acked, so the durability contract stays intact.
-		return Response{Status: StatusErr, Err: "server shutting down"}
-	}
-}
-
 // StatsSnapshot is the stats endpoint's JSON document.
 type StatsSnapshot struct {
 	Addr       string       `json:"addr"`
@@ -725,7 +661,7 @@ func (s *Server) Stats() (StatsSnapshot, error) {
 	snap.OpLatencies = make(map[string]obs.LatencySummary, len(s.opHist))
 	for code, h := range s.opHist {
 		if h.Count() > 0 {
-			snap.OpLatencies[opName(code)] = h.Summary()
+			snap.OpLatencies[flight.OpName(code)] = h.Summary()
 		}
 	}
 	snap.TracerRings = s.tracer.RingStats()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -207,6 +208,60 @@ func TestGracefulRestartPersists(t *testing.T) {
 	}
 }
 
+// TestPutPastL1ThenGetAll is the default-mode regression: on a default
+// 2-shard server, 1024 x 64 B PUTs overflow each shard machine's L1, so
+// lines the FWB scanner wrote back and left clean get evicted silently
+// and re-fetched through L2. Every key must read back its value — in fwb
+// (the default) exactly as in hwl, which never forces a write-back.
+func TestPutPastL1ThenGetAll(t *testing.T) {
+	for _, mode := range []txn.Mode{txn.FWB, txn.HWL} {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv, err := Start(Config{Dir: t.TempDir(), Shards: 2, Mode: mode, Logger: log.New(io.Discard, "", 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown()
+			// Pipelined so the shards batch their image saves: one save
+			// per PUT would make this the slowest test in the package.
+			c, err := DialPipelined(srv.Addr(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.MaxRetries = 64
+
+			const n = 1024
+			key := func(i int) []byte { return []byte(fmt.Sprintf("past-l1-%04d", i)) }
+			val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 32) }
+			puts := make([]*Call, n)
+			for i := range puts {
+				if puts[i], err = c.PutAsync(key(i), val(i)); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			for i, put := range puts {
+				if resp, err := put.Wait(); err != nil || resp.Status != StatusOK {
+					t.Fatalf("put %d: %+v, %v", i, resp, err)
+				}
+			}
+			missing, wrong := 0, 0
+			for i := 0; i < n; i++ {
+				switch got, found, err := c.Get(key(i)); {
+				case err != nil:
+					t.Fatalf("get %d: %v", i, err)
+				case !found:
+					missing++
+				case !bytes.Equal(got, val(i)):
+					wrong++
+				}
+			}
+			if missing != 0 || wrong != 0 {
+				t.Fatalf("%s: of %d keys written and acked, %d read back NotFound and %d a wrong value", mode, n, missing, wrong)
+			}
+		})
+	}
+}
+
 func TestShardQueueBackpressure(t *testing.T) {
 	// White-box: a shard whose loop is not running accepts exactly
 	// queueDepth requests, then sheds load.
@@ -215,12 +270,13 @@ func TestShardQueueBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe := func() *request { return &request{stats: make(chan ShardStats, 1)} }
 	for i := 0; i < 4; i++ {
-		if !sh.tryEnqueue(&request{req: &Request{Code: OpGet, Key: []byte("k")}, resp: make(chan Response, 1)}) {
+		if !sh.tryEnqueue(probe()) {
 			t.Fatalf("enqueue %d rejected below capacity", i)
 		}
 	}
-	if sh.tryEnqueue(&request{req: &Request{Code: OpGet, Key: []byte("k")}, resp: make(chan Response, 1)}) {
+	if sh.tryEnqueue(probe()) {
 		t.Fatal("enqueue accepted beyond queue capacity")
 	}
 	// Draining the loop answers everything queued.
@@ -235,10 +291,15 @@ func TestDrainingRejectsWithRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	srv.draining.Store(true)
-	resp := srv.dispatch(&Request{Code: OpGet, Key: []byte("k")})
-	if resp.Status != StatusRetry || resp.RetryAfterMs == 0 {
-		t.Fatalf("draining dispatch: %+v", resp)
+	var retry ErrRetry
+	if _, _, err := c.Get([]byte("k")); !errors.As(err, &retry) || retry.After == 0 {
+		t.Fatalf("GET on a draining server: %v, want ErrRetry with a delay", err)
 	}
 	srv.draining.Store(false)
 }

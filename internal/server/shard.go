@@ -15,19 +15,17 @@ import (
 )
 
 // request is one unit of work queued to a shard: either a client Request
-// or an internal stats probe. Exactly one response is delivered — on the
-// buffered resp channel (synchronous callers), or by handing the owning
-// connReq back on its connection's out channel (pipelined connections) —
-// so a shard never blocks on a departed client.
+// or an internal stats probe (req == nil). Exactly one response is
+// delivered — a probe's on its buffered stats channel, a client
+// request's by handing the owning connReq back on its connection's out
+// channel — so a shard never blocks on a departed client.
 type request struct {
 	req   *Request
-	resp  chan Response   // synchronous client requests
 	stats chan ShardStats // stats probes
 
-	// Pipelined delivery: when pr is non-nil the shard fills pr.resp and
-	// sends pr on out instead of using the resp channel. out has capacity
-	// for the connection's whole in-flight window, so the send never
-	// blocks.
+	// Client requests: the shard fills pr.resp and sends pr on out. out
+	// has capacity for the connection's whole in-flight window, so the
+	// send never blocks.
 	pr  *connReq
 	out chan *connReq
 }
@@ -201,7 +199,7 @@ func (sh *shard) loop() {
 	defer close(sh.done)
 	defer func() {
 		// A shard panic takes the process down; snapshot the black box
-		// first so pmdoctor can explain what was in flight, then let the
+		// first so pmctl doctor can explain what was in flight, then let the
 		// panic propagate (masking it would fake liveness).
 		if r := recover(); r != nil {
 			if sh.onPanic != nil {
@@ -282,11 +280,7 @@ func (sh *shard) runBatch(batch []*request) {
 				continue // stats probe: answered after the batch
 			}
 			sh.live.Requests++
-			var tag uint32
-			var sp *flight.Span
-			if r.pr != nil {
-				tag, sp = r.pr.spanTag, r.pr.span
-			}
+			tag, sp := r.pr.spanTag, r.pr.span
 			if sh.tracer.Enabled() {
 				sh.tracer.EmitSpan(sh.id, sh.nowNS(), obs.KindSrvApply, 0, uint64(r.req.Code), tag)
 			}
@@ -304,11 +298,7 @@ func (sh *shard) runBatch(batch []*request) {
 				_, tailBefore, _ = sh.sys.LogState()
 				_, _, commitBefore = sh.sys.LastCommit()
 			}
-			if r.pr != nil {
-				resps[i], r.pr.val = sh.apply(ctx, r.req, r.pr.val[:0])
-			} else {
-				resps[i], _ = sh.apply(ctx, r.req, nil)
-			}
+			resps[i], r.pr.val = sh.apply(ctx, r.req, r.pr.val[:0])
 			if sp != nil {
 				_, tailAfter, _ := sh.sys.LogState()
 				sp.SetLogWindow(tailBefore, tailAfter)
@@ -353,20 +343,12 @@ func (sh *shard) runBatch(batch []*request) {
 			continue
 		}
 		if sh.tracer.Enabled() {
-			var tag uint32
-			if r.pr != nil {
-				tag = r.pr.spanTag
-			}
-			sh.tracer.EmitSpan(sh.id, sh.nowNS(), obs.KindSrvAck, 0, uint64(resps[i].Status), tag)
+			sh.tracer.EmitSpan(sh.id, sh.nowNS(), obs.KindSrvAck, 0, uint64(resps[i].Status), r.pr.spanTag)
 		}
-		if r.pr != nil {
-			r.pr.resp = resps[i]
-			r.pr.resp.Seq = r.req.Seq
-			r.pr.resp.Span = r.req.Span
-			r.out <- r.pr
-			continue
-		}
-		r.resp <- resps[i]
+		r.pr.resp = resps[i]
+		r.pr.resp.Seq = r.req.Seq
+		r.pr.resp.Span = r.req.Span
+		r.out <- r.pr
 	}
 }
 

@@ -477,10 +477,7 @@ func (s *System) CommittedOracle() map[mem.Addr]mem.Word {
 // image (the caches were already invalidated by the crash). Under
 // distributed logging, every per-thread log region is recovered.
 func (s *System) Recover() (recovery.Report, error) {
-	if s.eng != nil {
-		return recovery.RecoverAll(s.nv.Image(), s.eng.LogBases())
-	}
-	return recovery.Recover(s.nv.Image(), s.LogBase())
+	return recovery.RecoverAll(s.nv.Image(), s.LogBases())
 }
 
 // Reboot rebuilds the volatile machine state — cores, caches, memory
@@ -547,25 +544,15 @@ func (s *System) rebuild() error {
 	if s.cfg.PerThreadLogs {
 		numLogs = s.cfg.Threads
 	} else if s.eng != nil {
-		base := s.eng.LogBases()[0]
-		meta, err := nvlog.ReadMeta(s.nv.Image(), base)
+		live, err := nvlog.Resolve(s.nv.Image(), s.eng.LogBases()[0])
 		if err != nil {
 			return fmt.Errorf("sim: reboot: %w", err)
 		}
-		for hops := 0; meta.Forward != 0; hops++ {
-			if hops > 64 {
-				return errors.New("sim: reboot: log forward chain too long")
-			}
-			base = meta.Forward
-			if meta, err = nvlog.ReadMeta(s.nv.Image(), base); err != nil {
-				return fmt.Errorf("sim: reboot: %w", err)
-			}
-		}
 		logCfg = s.eng.Log().Config()
-		logCfg.Base = base
-		logCfg.SizeBytes = nvlog.MetaSize + meta.Capacity*meta.SlotSize()
-		logCfg.Style = meta.Style
-		logCfg.LineAligned = meta.LineAligned
+		logCfg.Base = live.Base
+		logCfg.SizeBytes = nvlog.MetaSize + live.Meta.Capacity*live.Meta.SlotSize()
+		logCfg.Style = live.Meta.Style
+		logCfg.LineAligned = live.Meta.LineAligned
 	} else if s.swLog != nil {
 		logCfg = s.swLog.Config()
 	}
@@ -641,17 +628,13 @@ func (s *System) LoadNVRAM(r io.Reader) error {
 // DumpLog decodes the durable log records currently in NVRAM (all regions,
 // buffered records excluded) — a debugging/inspection aid.
 func (s *System) DumpLog() ([]nvlog.Entry, error) {
+	regions, err := nvlog.Walk(s.nv.Image(), s.LogBases())
+	if err != nil {
+		return nil, err
+	}
 	var out []nvlog.Entry
-	for _, base := range s.LogBases() {
-		meta, err := nvlog.ReadMeta(s.nv.Image(), base)
-		if err != nil {
-			return nil, err
-		}
-		entries, _, err := nvlog.Scan(s.nv.Image(), base, meta)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, entries...)
+	for _, r := range regions {
+		out = append(out, r.Entries...)
 	}
 	return out, nil
 }

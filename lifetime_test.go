@@ -48,7 +48,7 @@ func TestLogRegionWearIsUniform(t *testing.T) {
 	// spreads writes evenly (no hot cell), the property the lifetime
 	// argument rests on.
 	p := tinyParams()
-	cfg := p.config(FWB, 1)
+	cfg := p.Config(FWB, 1)
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,11 @@ package pmemlog
 import (
 	"fmt"
 
-	"pmemlog/internal/bench"
 	"pmemlog/internal/obs"
 )
 
 // Observability facade: re-exported tracer types plus a one-call
-// "trace a microbenchmark" entry point used by cmd/pmtrace.
+// "trace a microbenchmark" entry point used by pmctl trace.
 
 type (
 	// Tracer is the low-overhead event tracer (see internal/obs).
@@ -24,25 +23,11 @@ type (
 // beyond it). Population/setup is not traced — recording starts at the
 // measured region, like the stats themselves.
 func TraceMicro(benchName string, mode Mode, threads int, p Params, perRing int) ([]TraceEvent, []string, Run, error) {
-	w, err := bench.New(benchName, bench.Config{
-		Elements:      p.Elements,
-		TxnsPerThread: p.TxnsPerThread,
-		Threads:       threads,
-		Values:        p.Values,
-		Seed:          p.Seed,
-	})
-	if err != nil {
-		return nil, nil, Run{}, err
-	}
-	sys, err := NewSystem(p.config(mode, threads))
+	w, sys, err := buildMicro(benchName, mode, threads, p)
 	if err != nil {
 		return nil, nil, Run{}, err
 	}
 	tr := sys.AttachTracer(perRing)
-	if err := w.Setup(sys); err != nil {
-		return nil, nil, Run{}, err
-	}
-	sys.SetBenchName(benchName)
 	tr.Enable()
 	err = sys.RunN(w.Run)
 	tr.Disable()

@@ -269,7 +269,7 @@ func TestRunMixedMicro(t *testing.T) {
 	}
 	// The same mix must also hold up under crash/recovery.
 	total := r.Cycles
-	cfg := p.config(FWB, 4)
+	cfg := p.Config(FWB, 4)
 	cfg.TrackOracle = true
 	sys, err := NewSystem(cfg)
 	if err != nil {

@@ -51,23 +51,10 @@ func ReplayMicro(tr *Trace, benchName string, mode Mode, threads int, p Params) 
 }
 
 func buildMicro(benchName string, mode Mode, threads int, p Params) (bench.Workload, *System, error) {
-	w, err := bench.New(benchName, bench.Config{
-		Elements:      p.Elements,
-		TxnsPerThread: p.TxnsPerThread,
-		Threads:       threads,
-		Values:        p.Values,
-		Seed:          p.Seed,
-	})
+	w, err := p.micro(benchName, threads, p.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := NewSystem(p.config(mode, threads))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := w.Setup(sys); err != nil {
-		return nil, nil, err
-	}
-	sys.SetBenchName(benchName)
-	return w, sys, nil
+	sys, err := p.populate(benchName, w, mode, threads)
+	return w, sys, err
 }
