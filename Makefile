@@ -59,13 +59,14 @@ bench-baseline:
 	git diff --exit-code BENCH_micro.json
 
 # perf guards the wall-clock path (DESIGN.md §11): the zero-allocation
-# tests on the nvlog append and shard apply hot paths, then a smoke run
+# tests on the nvlog append and shard apply hot paths and the simulator's
+# hand-off guard (goroutine switches only on a real switch), then a smoke run
 # (~65 s) of pmbench, the repo's benchmark (BENCHMARK.json, benchmark/):
 # four value-checked workloads writing benchmark/out/result.json.
 # Wall-clock numbers vary by host; benchmark/out/reference.json is the
 # committed reference, CI uploads each run's result as an artifact.
 perf:
-	$(GO) test ./internal/nvlog ./internal/server -run 'ZeroAlloc' -count=1
+	$(GO) test ./internal/nvlog ./internal/server ./internal/sim -run 'ZeroAlloc|HandOffGuard' -count=1
 	bash benchmark/run.sh -short
 
 # doctor is the flight-recorder smoke (DESIGN.md §12): boot a server,
@@ -108,4 +109,4 @@ scope:
 	$(GO) test ./internal/server -run 'TestScopeCoalescibleZipfVsUniform|TestScopeWrapForecastLive' -count=1
 	$(GO) test ./cmd/pmctl -run 'Scope|Residency|Render|Once' -count=1
 
-ci: build lint pmlint-flow test race trace-test perf doctor chaos pulse scope
+ci: build lint pmlint-flow test race trace-test bench-baseline perf doctor chaos pulse scope

@@ -19,6 +19,10 @@ import (
 // terminated by ^uint64(0).
 const imageMagic = 0x53464E56 // "SFNV"
 
+// maxImageBytes is the largest region ReadPhysical accepts: the paper's
+// 8 GB DIMM (Table II), a page table of 1 MiB.
+const maxImageBytes = 8 << 30
+
 // WriteTo serializes the region sparsely.
 func (p *Physical) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -39,19 +43,26 @@ func (p *Physical) WriteTo(w io.Writer) (int64, error) {
 	if err := put(p.Size()); err != nil {
 		return n, err
 	}
-	var zero [LineSize]byte
-	for off := 0; off < len(p.data); off += LineSize {
-		line := p.data[off : off+LineSize]
-		if string(line) == string(zero[:]) {
+	var zero Line
+	for i, pg := range p.pages {
+		if pg == nil {
 			continue
 		}
-		if err := put(uint64(off / LineSize)); err != nil {
-			return n, err
-		}
-		m, err := bw.Write(line)
-		n += int64(m)
-		if err != nil {
-			return n, err
+		start := uint64(i) << pageShift
+		end := min(pageSize, p.size-start) // the last page may be partial
+		for off := uint64(0); off < end; off += LineSize {
+			line := pg[off : off+LineSize]
+			if string(line) == string(zero[:]) {
+				continue
+			}
+			if err := put((start + off) / LineSize); err != nil {
+				return n, err
+			}
+			m, err := bw.Write(line)
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
 		}
 	}
 	if err := put(^uint64(0)); err != nil {
@@ -79,13 +90,19 @@ func ReadPhysical(r io.Reader) (*Physical, error) {
 	}
 	base, err := get()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mem: image header: %w", err)
 	}
 	size, err := get()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mem: image header: %w", err)
+	}
+	// The header is outside input: reject what NewPhysical would panic on,
+	// and bound size before anything is allocated in proportion to it.
+	if base%LineSize != 0 || size%LineSize != 0 || size > maxImageBytes || base > uint64(MaxAddr)-size {
+		return nil, fmt.Errorf("mem: bad image geometry %#x+%#x", base, size)
 	}
 	p := NewPhysical(Addr(base), size)
+	var line Line
 	for {
 		idx, err := get()
 		if err != nil {
@@ -94,13 +111,13 @@ func ReadPhysical(r io.Reader) (*Physical, error) {
 		if idx == ^uint64(0) {
 			return p, nil
 		}
-		off := idx * LineSize
-		if off+LineSize > size {
+		if idx >= size/LineSize {
 			return nil, fmt.Errorf("mem: image line %d outside region", idx)
 		}
-		if _, err := io.ReadFull(br, p.data[off:off+LineSize]); err != nil {
+		if _, err := io.ReadFull(br, line[:]); err != nil {
 			return nil, fmt.Errorf("mem: image line %d: %w", idx, err)
 		}
+		p.WriteLine(p.base+Addr(idx*LineSize), &line)
 	}
 }
 
@@ -151,10 +168,10 @@ func ReadPhysicalFile(path string) (*Physical, error) {
 // CopyFrom overwrites this region's contents with another image of the
 // same geometry (re-attaching a persisted DIMM image to a fresh machine).
 func (p *Physical) CopyFrom(o *Physical) error {
-	if p.base != o.base || len(p.data) != len(o.data) {
+	if p.base != o.base || p.size != o.size {
 		return fmt.Errorf("mem: image geometry mismatch: %v+%d vs %v+%d",
-			p.base, len(p.data), o.base, len(o.data))
+			p.base, p.size, o.base, o.size)
 	}
-	copy(p.data, o.data)
+	copy(p.pages, o.Snapshot().pages)
 	return nil
 }

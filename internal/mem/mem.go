@@ -1,6 +1,6 @@
 // Package mem provides the basic memory primitives shared by every layer of
 // the simulated persistent memory system: physical addresses, words, cache
-// lines, and a flat byte-addressable physical memory.
+// lines, and a byte-addressable physical memory.
 //
 // The paper models a 64-bit machine with 64 B cache lines and 8 B words;
 // log records carry 48-bit physical addresses. Those constants live here so
@@ -8,7 +8,10 @@
 // and the hardware logging engine all agree on geometry.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const (
 	// WordSize is the size of a machine word in bytes. Log records hold a
@@ -56,29 +59,37 @@ type Line [LineSize]byte
 
 // Word extracts the i-th word of the line (little-endian, as on x86).
 func (l *Line) Word(i int) Word {
-	var w Word
-	base := i * WordSize
-	for b := WordSize - 1; b >= 0; b-- {
-		w = w<<8 | Word(l[base+b])
-	}
-	return w
+	return Word(binary.LittleEndian.Uint64(l[i*WordSize:]))
 }
 
 // SetWord stores w into the i-th word of the line.
 func (l *Line) SetWord(i int, w Word) {
-	base := i * WordSize
-	for b := 0; b < WordSize; b++ {
-		l[base+b] = byte(w >> (8 * b))
-	}
+	binary.LittleEndian.PutUint64(l[i*WordSize:], uint64(w))
 }
 
-// Physical is a flat byte-addressable physical memory image. It is the
-// ground truth that survives simulated crashes: caches hold copies of its
-// lines, and recovery rewrites it through the log. Accesses are bounds
-// checked so that a buggy workload or allocator fails loudly.
+// pageSize is the unit in which a Physical materialises storage. Pages
+// start at multiples of pageSize from the region's base, so an aligned
+// line or word never straddles two of them.
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift // 64 KiB
+)
+
+type page [pageSize]byte
+
+// Physical is a byte-addressable physical memory image. It is the ground
+// truth that survives simulated crashes: caches hold copies of its lines,
+// and recovery rewrites it through the log. Accesses are bounds checked so
+// that a buggy workload or allocator fails loudly.
+//
+// Storage is a table of pages allocated on first write; an absent page
+// reads as zeros. A machine models a DIMM far larger than what a run
+// touches, and building, saving, copying or comparing one costs only the
+// touched part.
 type Physical struct {
-	data []byte
-	base Addr
+	pages []*page // nil = never written
+	base  Addr
+	size  uint64
 }
 
 // NewPhysical creates a physical memory of the given size starting at base.
@@ -90,66 +101,73 @@ func NewPhysical(base Addr, size uint64) *Physical {
 	if uint64(base)+size > uint64(MaxAddr) {
 		panic(fmt.Sprintf("mem: physical region %v+%d exceeds %d-bit space", base, size, AddrBits))
 	}
-	return &Physical{data: make([]byte, size), base: base}
+	return &Physical{pages: make([]*page, (size+pageSize-1)>>pageShift), base: base, size: size}
 }
 
 // Base returns the first address of the region.
 func (p *Physical) Base() Addr { return p.base }
 
 // Size returns the size of the region in bytes.
-func (p *Physical) Size() uint64 { return uint64(len(p.data)) }
+func (p *Physical) Size() uint64 { return p.size }
 
 // Contains reports whether [a, a+n) lies inside the region.
 func (p *Physical) Contains(a Addr, n int) bool {
 	off := int64(a) - int64(p.base)
-	return off >= 0 && off+int64(n) <= int64(len(p.data))
+	return off >= 0 && off+int64(n) <= int64(p.size)
 }
 
-func (p *Physical) offset(a Addr, n int) int {
-	off := int64(a) - int64(p.base)
-	if off < 0 || off+int64(n) > int64(len(p.data)) {
-		panic(fmt.Sprintf("mem: access %v+%d outside region [%v, %v)", a, n, p.base, p.base+Addr(len(p.data))))
+func (p *Physical) offset(a Addr, n int) uint64 {
+	if !p.Contains(a, n) {
+		panic(fmt.Sprintf("mem: access %v+%d outside region [%v, %v)", a, n, p.base, p.base+Addr(p.size)))
 	}
-	return int(off)
+	return uint64(a - p.base)
+}
+
+// load returns the bytes from region offset off to the end of its page,
+// nil when that page was never written (it reads as zeros).
+func (p *Physical) load(off uint64) []byte {
+	if pg := p.pages[off>>pageShift]; pg != nil {
+		return pg[off&(pageSize-1):]
+	}
+	return nil
+}
+
+// store is load for writing: it materialises the page.
+func (p *Physical) store(off uint64) []byte {
+	pg := &p.pages[off>>pageShift]
+	if *pg == nil {
+		*pg = new(page)
+	}
+	return (*pg)[off&(pageSize-1):]
 }
 
 // ReadLine copies the cache line containing a into dst.
 func (p *Physical) ReadLine(a Addr, dst *Line) {
-	off := p.offset(a.Line(), LineSize)
-	copy(dst[:], p.data[off:off+LineSize])
+	p.ReadInto(a.Line(), dst[:])
 }
 
 // WriteLine stores src into the cache line containing a.
 func (p *Physical) WriteLine(a Addr, src *Line) {
-	off := p.offset(a.Line(), LineSize)
-	copy(p.data[off:off+LineSize], src[:])
+	copy(p.store(p.offset(a.Line(), LineSize)), src[:])
 }
 
 // ReadWord loads the word at the word-aligned address a.
 func (p *Physical) ReadWord(a Addr) Word {
-	a = a.WordAligned()
-	off := p.offset(a, WordSize)
-	var w Word
-	for b := WordSize - 1; b >= 0; b-- {
-		w = w<<8 | Word(p.data[off+b])
+	if src := p.load(p.offset(a.WordAligned(), WordSize)); src != nil {
+		return Word(binary.LittleEndian.Uint64(src))
 	}
-	return w
+	return 0
 }
 
 // WriteWord stores w at the word-aligned address a.
 func (p *Physical) WriteWord(a Addr, w Word) {
-	a = a.WordAligned()
-	off := p.offset(a, WordSize)
-	for b := 0; b < WordSize; b++ {
-		p.data[off+b] = byte(w >> (8 * b))
-	}
+	binary.LittleEndian.PutUint64(p.store(p.offset(a.WordAligned(), WordSize)), uint64(w))
 }
 
 // Read copies n bytes starting at a into a fresh slice.
 func (p *Physical) Read(a Addr, n int) []byte {
-	off := p.offset(a, n)
 	out := make([]byte, n)
-	copy(out, p.data[off:off+n])
+	p.ReadInto(a, out)
 	return out
 }
 
@@ -157,30 +175,59 @@ func (p *Physical) Read(a Addr, n int) []byte {
 // allocation-free variant of Read for hot paths that own a scratch buffer.
 func (p *Physical) ReadInto(a Addr, dst []byte) {
 	off := p.offset(a, len(dst))
-	copy(dst, p.data[off:off+len(dst)])
+	for len(dst) > 0 {
+		n := min(len(dst), pageSize-int(off&(pageSize-1)))
+		if src := p.load(off); src != nil {
+			copy(dst[:n], src)
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+uint64(n)
+	}
 }
 
 // Write stores src starting at address a.
 func (p *Physical) Write(a Addr, src []byte) {
 	off := p.offset(a, len(src))
-	copy(p.data[off:off+len(src)], src)
+	for len(src) > 0 {
+		n := copy(p.store(off), src)
+		src, off = src[n:], off+uint64(n)
+	}
 }
 
 // Snapshot returns a deep copy of the region, used by the recovery checker
 // to compare post-crash NVRAM images against an oracle.
 func (p *Physical) Snapshot() *Physical {
-	cp := &Physical{data: make([]byte, len(p.data)), base: p.base}
-	copy(cp.data, p.data)
+	cp := NewPhysical(p.base, p.size)
+	for i, pg := range p.pages {
+		if pg != nil {
+			dup := *pg
+			cp.pages[i] = &dup
+		}
+	}
 	return cp
 }
 
-// Equal reports whether two regions have identical base, size and contents.
+// Equal reports whether two regions have identical base, size and contents
+// (a page never written equals a page of zeros).
 func (p *Physical) Equal(o *Physical) bool {
-	if p.base != o.base || len(p.data) != len(o.data) {
+	if p.base != o.base || p.size != o.size {
 		return false
 	}
-	for i := range p.data {
-		if p.data[i] != o.data[i] {
+	for i, a := range p.pages {
+		b := o.pages[i]
+		if a == nil {
+			a, b = b, a
+		}
+		switch {
+		case a == nil: // neither was written
+		case b == nil:
+			for _, v := range a {
+				if v != 0 {
+					return false
+				}
+			}
+		case *a != *b:
 			return false
 		}
 	}

@@ -592,20 +592,20 @@ func (s *Server) routeAsync(cr *connReq, out chan *connReq) bool {
 	sh := s.shards[home]
 	// Finish with cr before the enqueue hands it to the shard: the shard
 	// may answer and the conn writer recycle cr (and its span) before
-	// tryEnqueue even returns. A refused request keeps its enqueue mark —
-	// it did reach the queue's door.
-	code, tag := req.Code, cr.spanTag
+	// tryEnqueue even returns — so the enqueue mark and trace event come
+	// first, or the shard's apply and ack could be recorded ahead of them.
+	// A refused request keeps both: it did reach the queue's door.
 	if cr.span != nil {
 		cr.span.SetShard(home)
 		cr.span.Mark(flight.StageEnqueue, int64(s.nowNS()))
+	}
+	if s.tracer.Enabled() {
+		s.tracer.EmitSpan(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(req.Code), cr.spanTag)
 	}
 	cr.sr = request{req: req, pr: cr, out: out}
 	if !sh.tryEnqueue(&cr.sr) {
 		s.noteRetry()
 		return answer(Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs})
-	}
-	if s.tracer.Enabled() {
-		s.tracer.EmitSpan(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(code), tag)
 	}
 	return true
 }

@@ -101,8 +101,16 @@ func (t *threadCtx) traceTxID() uint16 {
 	return t.swTxID
 }
 
-// yield hands control back to the scheduler after each operation.
+// yield ends every operation with the scheduler's step: housekeeping at
+// global time, then the pick. While this thread is still the pick and no
+// crash is due it simply runs on — exactly what Run would grant — and only
+// otherwise hands the machine back. The other threads are parked on their
+// resume channels, so the state the step reads is quiescent.
 func (t *threadCtx) yield() {
+	t.s.housekeep()
+	if t.s.pick() == t && !t.s.crashDue(t) {
+		return
+	}
 	t.ready <- struct{}{}
 	<-t.resume
 	if t.aborted {

@@ -1,0 +1,181 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"hash"
+	"math/rand"
+	"testing"
+
+	"pmemlog/internal/mem"
+	"pmemlog/internal/txn"
+)
+
+// orderCtx records, after every operation, which thread ran it and where
+// its clock stood. Only one workload goroutine runs at a time (the
+// scheduler's hand-off orders them), so the shared hash needs no lock.
+type orderCtx struct {
+	Ctx
+	h hash.Hash
+}
+
+func (c orderCtx) mark() {
+	t := c.Ctx.(*threadCtx)
+	fmt.Fprintf(c.h, "%d@%d ", t.id, t.core.Now())
+}
+
+func (c orderCtx) TxBegin()                     { c.Ctx.TxBegin(); c.mark() }
+func (c orderCtx) TxCommit()                    { c.Ctx.TxCommit(); c.mark() }
+func (c orderCtx) Compute(n uint64)             { c.Ctx.Compute(n); c.mark() }
+func (c orderCtx) Store(a mem.Addr, w mem.Word) { c.Ctx.Store(a, w); c.mark() }
+func (c orderCtx) Load(a mem.Addr) mem.Word {
+	w := c.Ctx.Load(a)
+	c.mark()
+	return w
+}
+
+// goldenConfig is smallConfig in fwb mode with a log small enough to wrap
+// and a scan interval short enough that FwbTick does real work inside a
+// history of a few thousand operations.
+func goldenConfig(threads int) Config {
+	cfg := smallConfig(txn.FWB, threads)
+	cfg.LogBytes = 16 << 10
+	cfg.FwbScanInterval = 5000
+	return cfg
+}
+
+// goldenWorkload: every thread walks its own 8 KB of counters (4x the
+// 2 KB L1) with unequal compute per thread, so clocks interleave unevenly.
+func goldenWorkload(s *System, threads, txns int) func(Ctx, int) {
+	const words = 1024
+	base := make([]mem.Addr, threads)
+	for i := range base {
+		a, err := s.Heap().AllocLine(words * mem.WordSize)
+		if err != nil {
+			panic(err)
+		}
+		base[i] = a
+	}
+	return func(ctx Ctx, id int) {
+		rng := rand.New(rand.NewSource(int64(id)*31 + 7))
+		for k := 0; k < txns; k++ {
+			ctx.TxBegin()
+			for j := 0; j < 4; j++ {
+				a := base[id] + mem.Addr(rng.Intn(words)*mem.WordSize)
+				v := ctx.Load(a)
+				ctx.Compute(uint64(3 + 5*id + j))
+				ctx.Store(a, v+1)
+			}
+			ctx.TxCommit()
+		}
+	}
+}
+
+func hexSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+// TestScheduleOrderGolden pins the scheduler's event order. The digests
+// were recorded at the commit before threads began running while they are
+// the pick (two channel hand-offs per operation); they must never move:
+// the order of (thread, clock) after every operation, the final counters,
+// and — with a crash at every 1500th cycle of a 2-thread run — the
+// recovered NVRAM image and recovery report, which also fixes FwbTick and
+// Retire against the crash instant.
+func TestScheduleOrderGolden(t *testing.T) {
+	wantOrder := map[int]string{
+		1: "450ad7119fd29bfb",
+		2: "f67b80d446ea1c38",
+		3: "92368d5ceac8bbc8",
+	}
+	for threads := 1; threads <= 3; threads++ {
+		s := mustSystem(t, goldenConfig(threads))
+		w := goldenWorkload(s, threads, 150)
+		h := sha256.New()
+		if err := s.RunN(func(ctx Ctx, id int) { w(orderCtx{ctx, h}, id) }); err != nil {
+			t.Fatal(err)
+		}
+		r := s.Stats()
+		if r.FwbScans == 0 || r.LogTruncated == 0 {
+			t.Fatalf("%d threads: history too tame (scans %d, truncated %d)", threads, r.FwbScans, r.LogTruncated)
+		}
+		fmt.Fprintf(h, "%+v", r)
+		if got := hexSum(h); got != wantOrder[threads] {
+			t.Errorf("%d threads: schedule digest %s, want %s", threads, got, wantOrder[threads])
+		}
+	}
+
+	const wantCrash = "189f18f7e196cb09"
+	ref := mustSystem(t, goldenConfig(2))
+	if err := ref.RunN(goldenWorkload(ref, 2, 150)); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	points := 0
+	for at := uint64(1500); at < ref.WallCycles(); at += 1500 {
+		s := mustSystem(t, goldenConfig(2))
+		s.ScheduleCrash(at)
+		if err := s.RunN(goldenWorkload(s, 2, 150)); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("crash at %d: %v", at, err)
+		}
+		rep, err := s.Recover()
+		if err != nil {
+			t.Fatalf("crash at %d: recover: %v", at, err)
+		}
+		fmt.Fprintf(h, "%d %+v ", at, rep)
+		if _, err := s.NVRAMImage().WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		points++
+	}
+	if points < 50 {
+		t.Fatalf("only %d crash points", points)
+	}
+	if got := hexSum(h); got != wantCrash {
+		t.Errorf("crash sweep digest over %d points %s, want %s", points, got, wantCrash)
+	}
+}
+
+// TestHandOffGuard: goroutine hand-offs happen for real switches only. A
+// one-thread machine (every server shard) is granted once and comes back
+// once, finished, however long the run; with two threads a thread keeps
+// the machine for as long as its clock stays the smallest.
+func TestHandOffGuard(t *testing.T) {
+	ops := func(s *System) uint64 { return s.Stats().Transactions * (2 + 3*4) }
+
+	one := mustSystem(t, goldenConfig(1))
+	if err := one.RunN(goldenWorkload(one, 1, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ops(one); n < 1000 || one.grants != 1 {
+		t.Errorf("1 thread: %d grants over %d operations, want exactly 1 (>= 1000 operations)", one.grants, n)
+	}
+
+	two := mustSystem(t, goldenConfig(2))
+	if err := two.RunN(goldenWorkload(two, 2, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ops(two); two.grants < 2 || two.grants >= n {
+		t.Errorf("2 threads: %d grants over %d operations, want 2 <= grants < operations", two.grants, n)
+	}
+	t.Logf("grants: 1 thread %d / %d ops, 2 threads %d / %d ops", one.grants, ops(one), two.grants, ops(two))
+}
+
+// BenchmarkRunOneThread is the simulator's per-layer number: host
+// nanoseconds per simulated instruction on a one-thread fwb machine.
+func BenchmarkRunOneThread(b *testing.B) {
+	cfg := smallConfig(txn.FWB, 1)
+	cfg.TrackOracle = false
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := goldenWorkload(s, 1, 200)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.RunN(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Stats().Instructions), "ns/instr")
+}

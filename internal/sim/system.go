@@ -46,6 +46,7 @@ type System struct {
 
 	crashAt uint64 // 0 = no crash scheduled
 	crashed bool
+	grants  uint64 // goroutine hand-offs made by Run (see grant)
 
 	// population records pre-measurement Poke values for the recovery
 	// verifier's replay baseline (oracle mode only).
