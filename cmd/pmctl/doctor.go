@@ -11,8 +11,8 @@ import (
 
 // declareDoctor is `pmctl doctor`, the post-mortem forensics for
 // pmserver's flight recorder: it loads a black-box dump (written on
-// panic, SIGTERM, or an explicit WriteFlightDump), prints the causal
-// timeline of every request that was in flight when the process died, and
+// panic, SIGTERM, or an explicit WriteFlightDump), prints the stage marks
+// and machine timeline of every request in flight when the process died, and
 // cross-checks each one against the shard's durable NVRAM log image —
 // classifying its transaction committed / torn / unlogged in the
 // paper's recovery vocabulary and verifying the ruling against what a
@@ -140,8 +140,8 @@ func printDump(out io.Writer, d *flight.Dump) {
 	}
 }
 
-// printSpan renders one span's stage latencies, txn attribution, and
-// causal timeline reassembled from the trace rings.
+// printSpan renders one span's stage marks, txn attribution, and the
+// machine timeline its tag selects from the shard's trace rings.
 func printSpan(out io.Writer, d *flight.Dump, sp *flight.SpanSnapshot) {
 	fmt.Fprintf(out, "  span %d (tag %08x)  op=%s  shard=%s  status=%s\n",
 		sp.ID, sp.Tag(), flight.OpName(sp.Op), shardName(sp.Shard), flight.StatusName(sp.Status))
@@ -169,7 +169,7 @@ func printTimeline(out io.Writer, d *flight.Dump, tl []flight.Event) {
 	if len(tl) == 0 {
 		return
 	}
-	fmt.Fprintf(out, "    timeline:\n")
+	fmt.Fprintf(out, "    machine timeline (cycles):\n")
 	for _, e := range tl {
 		ring := fmt.Sprintf("ring %d", e.Ring)
 		if e.Ring >= 0 && e.Ring < len(d.RingNames) {

@@ -19,8 +19,8 @@ import (
 
 // TestDoctorSmoke is the end-to-end smoke `make doctor` runs in CI:
 // boot a real server, push spanned traffic through it, capture a
-// flight dump mid-flight, and assert pmctl doctor renders span timelines
-// reassembled from the trace rings.
+// flight dump mid-flight, and assert pmctl doctor renders each span's
+// stage marks and the machine timeline its tag selects.
 func TestDoctorSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
@@ -74,9 +74,11 @@ func TestDoctorSmoke(t *testing.T) {
 		"trace rings:",
 		"shards:",
 		"slow requests (tail samples):",
-		"timeline:",
-		"srv-recv",
-		"srv-ack",
+		"stages: recv=",
+		"machine timeline (cycles):",
+		"tx-begin",
+		"log-append",
+		"tx-commit",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("pmctl doctor output missing %q:\n%s", want, text)
@@ -99,6 +101,34 @@ func TestDoctorSmoke(t *testing.T) {
 	}
 	if doc.Dump.Version != 1 || doc.Dump.Reason != "manual" {
 		t.Fatalf("pmctl doctor -json dump = %+v", doc.Dump)
+	}
+}
+
+// TestDoctorParentFormatDump renders a committed dump from before the
+// server's request tracer was removed: its srv-* events (nanosecond
+// timestamps, on "shard 0" / "network" rings) sit beside the machine
+// rings, and the doctor still loads and prints all of it.
+func TestDoctorParentFormatDump(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"doctor", "-no-images", "testdata/parent-dump.json"}, &out, &out); code != 0 {
+		t.Fatalf("pmctl doctor exited %d:\n%s", code, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"flight dump v1",
+		"span 4294967296",
+		"stages: recv=",
+		"network",
+		"srv-recv",
+		"srv-ack",
+		"shard 0/thread 0",
+		"tx-begin",
+		"log-append",
+		"tx-commit",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("pmctl doctor output missing %q:\n%s", want, text)
+		}
 	}
 }
 

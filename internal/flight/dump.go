@@ -68,6 +68,8 @@ type Dump struct {
 	Mode         string `json:"mode,omitempty"`
 	Shards       int    `json:"shards"`
 
+	// The shard machines' trace rings, shard 0's first; event
+	// timestamps are machine cycles.
 	RingNames []string       `json:"ring_names,omitempty"`
 	RingStats []obs.RingStat `json:"ring_stats,omitempty"`
 	Events    []Event        `json:"events"`
@@ -159,9 +161,9 @@ func LoadDump(path string) (*Dump, error) {
 	return &d, nil
 }
 
-// Timeline extracts the causal timeline of one span: every trace event
-// whose tag matches, in timestamp order (the dump's event list is
-// already sorted by the obs snapshot).
+// Timeline extracts the machine timeline of one span: every trace event
+// whose tag matches, in cycle order (a span runs on one shard, and each
+// shard's events are sorted by its tracer's snapshot).
 func (d *Dump) Timeline(spanID uint64) []Event {
 	tag := SpanTag(spanID)
 	if tag == 0 {
@@ -174,20 +176,4 @@ func (d *Dump) Timeline(spanID uint64) []Event {
 		}
 	}
 	return out
-}
-
-// FindSpan returns the in-flight or slow snapshot with the given ID,
-// nil when absent.
-func (d *Dump) FindSpan(spanID uint64) *SpanSnapshot {
-	for i := range d.InFlight {
-		if d.InFlight[i].ID == spanID {
-			return &d.InFlight[i]
-		}
-	}
-	for i := range d.Slow {
-		if d.Slow[i].ID == spanID {
-			return &d.Slow[i]
-		}
-	}
-	return nil
 }

@@ -28,7 +28,7 @@ var hostileImages = map[string][]byte{
 	"size not line aligned":     image(0, 65, 8),
 	"base and size 1<<47":       image(1<<47, 1<<47, 8),
 	"base not line aligned":     image(8, 4096, 0),
-	"size over the cap":         image(0, maxImageBytes+LineSize, 0),
+	"size over the cap":         image(0, MaxImageBytes+LineSize, 0),
 	"region past the 48-bit":    image(uint64(MaxAddr)-64, 128, 0),
 	"base+size wraps":           image(^uint64(0)&^63, 128, 0),
 	"line index outside region": image(0x1000, 4096, 0, 3, 64),
@@ -56,7 +56,7 @@ func FuzzReadPhysical(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add(image(1<<32, maxImageBytes, 0, 0, maxImageBytes/LineSize-1)) // largest accepted region
+	f.Add(image(1<<32, MaxImageBytes, 0, 0, MaxImageBytes/LineSize-1)) // largest accepted region
 	for _, data := range hostileImages {
 		f.Add(data)
 	}
@@ -65,7 +65,7 @@ func FuzzReadPhysical(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if p.Size() > maxImageBytes || uint64(len(p.pages)) != (p.Size()+pageSize-1)>>pageShift {
+		if p.Size() > MaxImageBytes || uint64(len(p.pages)) != (p.Size()+pageSize-1)>>pageShift {
 			t.Fatalf("accepted %v+%d with %d pages", p.Base(), p.Size(), len(p.pages))
 		}
 		if tail := p.Size() & (pageSize - 1); tail != 0 {

@@ -19,9 +19,9 @@ import (
 // terminated by ^uint64(0).
 const imageMagic = 0x53464E56 // "SFNV"
 
-// maxImageBytes is the largest region ReadPhysical accepts: the paper's
+// MaxImageBytes is the largest region ReadPhysical accepts: the paper's
 // 8 GB DIMM (Table II), a page table of 1 MiB.
-const maxImageBytes = 8 << 30
+const MaxImageBytes = 8 << 30
 
 // WriteTo serializes the region sparsely.
 func (p *Physical) WriteTo(w io.Writer) (int64, error) {
@@ -98,7 +98,7 @@ func ReadPhysical(r io.Reader) (*Physical, error) {
 	}
 	// The header is outside input: reject what NewPhysical would panic on,
 	// and bound size before anything is allocated in proportion to it.
-	if base%LineSize != 0 || size%LineSize != 0 || size > maxImageBytes || base > uint64(MaxAddr)-size {
+	if base%LineSize != 0 || size%LineSize != 0 || size > MaxImageBytes || base > uint64(MaxAddr)-size {
 		return nil, fmt.Errorf("mem: bad image geometry %#x+%#x", base, size)
 	}
 	p := NewPhysical(Addr(base), size)

@@ -45,8 +45,6 @@ func category(k Kind) string {
 		return "memctl"
 	case KindFwbScan, KindFwbForced:
 		return "fwb"
-	case KindSrvRecv, KindSrvEnqueue, KindSrvApply, KindSrvAck:
-		return "server"
 	}
 	return "misc"
 }
@@ -58,7 +56,7 @@ func argsFor(e Event) map[string]any {
 		a["txid"] = e.TxID
 	}
 	switch e.Kind {
-	case KindLogAppend, KindSrvRecv, KindSrvEnqueue, KindSrvApply, KindSrvAck:
+	case KindLogAppend:
 		a["seq"] = e.Arg
 	case KindLogWrap:
 		a["pass"] = e.Arg

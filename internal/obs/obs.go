@@ -26,7 +26,7 @@
 // claims a slot with an atomic fetch-add and then stores the three
 // record words with atomic stores. When the ring wraps, the oldest
 // records are overwritten — the drop policy is overwrite-oldest, and
-// the total emit count is kept so Dropped() is exact. Snapshot is meant
+// the total emit count is kept so RingStats' drop count is exact. Snapshot is meant
 // to be taken after Disable (or any quiescent point); a snapshot raced
 // with active producers may observe individually-torn records, which is
 // acceptable for a diagnostic trace and irrelevant in the intended
@@ -74,13 +74,6 @@ const (
 	// (eviction or flush). Arg is the line address.
 	KindWriteBack
 
-	// Server request lifecycle (internal/server). TS is nanoseconds
-	// since server start, not cycles. Arg is the request sequence.
-	KindSrvRecv
-	KindSrvEnqueue
-	KindSrvApply
-	KindSrvAck
-
 	kindCount
 )
 
@@ -98,10 +91,6 @@ var kindNames = [kindCount]string{
 	KindFwbScan:     "fwb-scan",
 	KindFwbForced:   "fwb-forced",
 	KindWriteBack:   "write-back",
-	KindSrvRecv:     "srv-recv",
-	KindSrvEnqueue:  "srv-enqueue",
-	KindSrvApply:    "srv-apply",
-	KindSrvAck:      "srv-ack",
 }
 
 func (k Kind) String() string {
@@ -114,7 +103,7 @@ func (k Kind) String() string {
 // Event is one decoded trace record. In a ring it occupies exactly
 // three words: timestamp, argument, and a packed meta word.
 type Event struct {
-	TS   uint64 // cycles (simulator rings) or nanoseconds (server rings)
+	TS   uint64 // machine cycles
 	Arg  uint64 // kind-specific payload; see the Kind constants
 	Kind Kind
 	Ring uint8  // producing ring index
@@ -141,8 +130,8 @@ func packMeta(kind Kind, ring uint8, txid uint16, span uint32) uint64 {
 
 // Ring is one fixed-capacity event buffer. Writers claim slots with an
 // atomic fetch-add on pos, so a ring tolerates multiple concurrent
-// producers (the server's connection handlers share one network ring);
-// in the simulator each ring has a single producer by construction.
+// producers; in the simulator each ring has a single producer by
+// construction.
 type Ring struct {
 	pos   atomic.Uint64 // total events ever emitted into this ring
 	_     [56]byte      // keep hot counters of adjacent rings off one line
@@ -157,18 +146,6 @@ func newRing(capacity int) *Ring {
 	}
 	return &Ring{mask: uint64(n - 1), slots: make([]slot, n)}
 }
-
-// Dropped reports how many records were overwritten by wrap-around.
-func (r *Ring) Dropped() uint64 {
-	p := r.pos.Load()
-	if c := uint64(len(r.slots)); p > c {
-		return p - c
-	}
-	return 0
-}
-
-// Emitted reports how many records were ever written into this ring.
-func (r *Ring) Emitted() uint64 { return r.pos.Load() }
 
 // RingStat is one ring's emit/drop accounting, for surfacing silent
 // event loss on stats endpoints.
@@ -243,15 +220,6 @@ func (t *Tracer) EmitSpan(ring int, ts uint64, kind Kind, txid uint16, arg uint6
 	s.meta.Store(packMeta(kind, uint8(ring), txid, span))
 }
 
-// Dropped sums the overwritten-record counts across all rings.
-func (t *Tracer) Dropped() uint64 {
-	var n uint64
-	for _, r := range t.rings {
-		n += r.Dropped()
-	}
-	return n
-}
-
 // Emitted reports the total number of events ever emitted.
 func (t *Tracer) Emitted() uint64 {
 	var n uint64
@@ -261,28 +229,18 @@ func (t *Tracer) Emitted() uint64 {
 	return n
 }
 
-// RingStats reports per-ring emit and drop counts (index = ring index).
+// RingStats reports per-ring emit and drop counts (index = ring index):
+// every record ever emitted, and those overwritten by wrap-around.
 func (t *Tracer) RingStats() []RingStat {
 	if t == nil {
 		return nil
 	}
 	out := make([]RingStat, len(t.rings))
 	for i, r := range t.rings {
-		out[i] = RingStat{Emitted: r.Emitted(), Dropped: r.Dropped()}
+		p := r.pos.Load()
+		out[i] = RingStat{Emitted: p, Dropped: p - min(p, uint64(len(r.slots)))}
 	}
 	return out
-}
-
-// Reset clears all rings and counters. Not safe to race with Emit.
-func (t *Tracer) Reset() {
-	for _, r := range t.rings {
-		r.pos.Store(0)
-		for i := range r.slots {
-			r.slots[i].ts.Store(0)
-			r.slots[i].arg.Store(0)
-			r.slots[i].meta.Store(0)
-		}
-	}
 }
 
 // Snapshot decodes every surviving record, oldest first within each

@@ -47,8 +47,8 @@ func TestRingOverwriteOldest(t *testing.T) {
 		tr.Emit(0, i, KindLogAppend, 0, i)
 	}
 	tr.Disable()
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	if got := tr.RingStats()[0]; got != (RingStat{Emitted: 10, Dropped: 6}) {
+		t.Fatalf("RingStats = %+v, want 10 emitted, 6 dropped", got)
 	}
 	evs := tr.Snapshot()
 	if len(evs) != 4 {
@@ -110,7 +110,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tr.Emit(0, uint64(i), KindSrvRecv, uint16(w), uint64(i))
+				tr.Emit(0, uint64(i), KindLogAppend, uint16(w), uint64(i))
 			}
 		}(w)
 	}
@@ -429,14 +429,14 @@ func TestEmitSpanRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 8)
 	tr.Enable()
 	const span = uint32(0xdeadbeef)
-	tr.EmitSpan(0, 5, KindSrvApply, 42, 7, span)
+	tr.EmitSpan(0, 5, KindTxBegin, 42, 7, span)
 	tr.Emit(1, 6, KindLogAppend, 42, 8) // plain Emit ⇒ span 0
 	tr.Disable()
 	evs := tr.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
-	if e := evs[0]; e.Span != span || e.Kind != KindSrvApply || e.TxID != 42 || e.Arg != 7 {
+	if e := evs[0]; e.Span != span || e.Kind != KindTxBegin || e.TxID != 42 || e.Arg != 7 {
 		t.Fatalf("span event decoded wrong: %+v", e)
 	}
 	if e := evs[1]; e.Span != 0 {

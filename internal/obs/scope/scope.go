@@ -199,14 +199,6 @@ type Counters struct {
 	forced   LineSketch // lines force-flushed since the last scan
 }
 
-// LogBytes returns the total log traffic across byte classes.
-func (c *Counters) LogBytes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.LogUndoBytes + c.LogRedoBytes + c.LogHeaderBytes + c.LogChecksumBytes
-}
-
 // NaturalWB is Ledger.NaturalWB for a possibly-nil (unscoped) machine.
 func (c *Counters) NaturalWB() uint64 {
 	if c == nil {

@@ -84,11 +84,10 @@ func TestCountersLedger(t *testing.T) {
 	if c.CoalescibleAppends != 1 {
 		t.Fatalf("coalescible = %d, want 1", c.CoalescibleAppends)
 	}
-	if got := c.LogBytes(); got != 5*32 {
-		t.Fatalf("log bytes = %d, want %d", got, 5*32)
-	}
-	if c.LogUndoBytes != 24 || c.LogRedoBytes != 24 || c.LogChecksumBytes != 10 {
-		t.Fatalf("byte split: undo=%d redo=%d cs=%d", c.LogUndoBytes, c.LogRedoBytes, c.LogChecksumBytes)
+	// The four byte classes split the five 32-byte records exactly.
+	if c.LogUndoBytes != 24 || c.LogRedoBytes != 24 || c.LogHeaderBytes != 102 || c.LogChecksumBytes != 10 {
+		t.Fatalf("byte split: undo=%d redo=%d hdr=%d cs=%d",
+			c.LogUndoBytes, c.LogRedoBytes, c.LogHeaderBytes, c.LogChecksumBytes)
 	}
 	if c.TxnsMeasured != 1 || c.TxnAmpMilliSum != 160*1000/24 {
 		t.Fatalf("txn amp: n=%d sum=%d", c.TxnsMeasured, c.TxnAmpMilliSum)
@@ -142,7 +141,7 @@ func TestCountersNilSafe(t *testing.T) {
 	c.NoteForcedWB(64)
 	c.NoteDirtied(64)
 	c.NoteScan()
-	if c.LogBytes() != 0 || c.NaturalWB() != 0 {
+	if c.NaturalWB() != 0 {
 		t.Fatal("nil counters reported nonzero totals")
 	}
 }

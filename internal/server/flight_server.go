@@ -13,10 +13,11 @@ import (
 )
 
 // Flight-recorder surface of the server: assembling the black-box dump
-// (obs rings, metrics registry, shard queue/log pressure, in-flight and
-// slow span tables) and the /healthz readiness endpoint. The dump path
-// must work while the process is dying — it reads only atomics and
-// the shards' published views, never enqueues to a possibly-dead shard.
+// (shard machine trace rings, metrics registry, shard queue/log
+// pressure, in-flight and slow span tables) and the /healthz readiness
+// endpoint. The dump path must work while the process is dying — it
+// reads only atomics and the shards' published views, never enqueues to
+// a possibly-dead shard.
 
 // FlightDumpPath is where panic/SIGTERM dumps land: next to the shard
 // images, so pmctl doctor finds both halves of the evidence together.
@@ -48,11 +49,7 @@ func (s *Server) buildDump(reason string) *flight.Dump {
 		Slow:         s.flight.Slow(),
 		Chaos:        s.cfg.Chaos.Ledger(),
 	}
-	if s.tracer != nil {
-		d.RingNames = s.TracerRingNames()
-		d.RingStats = s.tracer.RingStats()
-		d.Events = flight.ConvertEvents(s.tracer.Snapshot())
-	}
+	d.RingNames, d.RingStats = s.traceRings()
 	// The machine gauges come from the published views, so the dump
 	// carries them without waiting on a shard that may be wedged or
 	// mid-panic. Setting them takes the registry mutex, the one
@@ -63,22 +60,19 @@ func (s *Server) buildDump(reason string) *flight.Dump {
 	if err := s.reg.WritePrometheus(&buf); err == nil {
 		d.Metrics = buf.String()
 	}
+	// Each shard machine's events (tx begin/commit, log appends,
+	// cache/controller events — cycle timestamps) follow the previous
+	// shard's, ring indices offset to match traceRings.
+	base := 0
 	for _, sh := range s.shards {
 		d.ShardStates = append(d.ShardStates, sh.flightState())
-		// Merge the shard machine's own tracer (tx begin/commit, log
-		// appends, cache/controller events — cycle timestamps) behind the
-		// server's nanosecond request rings, ring indices remapped.
 		if mt := sh.sys.Tracer(); mt != nil {
-			base := len(d.RingNames)
-			for _, name := range sh.sys.TracerRingNames() {
-				d.RingNames = append(d.RingNames, fmt.Sprintf("shard %d/%s", sh.id, name))
-			}
-			d.RingStats = append(d.RingStats, mt.RingStats()...)
 			evs := flight.ConvertEvents(mt.Snapshot())
 			for i := range evs {
 				evs[i].Ring += base
 			}
 			d.Events = append(d.Events, evs...)
+			base += mt.Rings()
 		}
 	}
 	return d

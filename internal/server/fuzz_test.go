@@ -2,7 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"pmemlog/internal/mem"
 )
 
 // FuzzDecodeRequest: arbitrary bytes must never panic, and anything that
@@ -117,6 +122,72 @@ func FuzzDecodeResponse(f *testing.F) {
 			!bytes.Equal(back.Val, fresh.Val) ||
 			back.RetryAfterMs != fresh.RetryAfterMs || back.Err != fresh.Err {
 			t.Fatalf("round trip changed response: %+v -> %+v", fresh, back)
+		}
+	})
+}
+
+// hostileManifests are pmserver.json files Start must refuse. The first
+// two used to be adopted: zero shards panicked the first PUT with an
+// integer divide by zero in ShardOf, and a non-persistent mode acked
+// writes it could not make durable.
+var hostileManifests = map[string]string{
+	"zero shards":        `{"version":1,"shards":0,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"non-pers mode":      `{"version":1,"shards":2,"mode":"non-pers","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"negative shards":    `{"version":1,"shards":-3,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"shards over cap":    `{"version":1,"shards":1048576,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"unsafe hw mode":     `{"version":1,"shards":2,"mode":"hw-ulog","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"unknown mode":       `{"version":1,"shards":2,"mode":"nope","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"numeric mode":       `{"version":1,"shards":2,"mode":8,"buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"zero buckets":       `{"version":1,"shards":2,"mode":"fwb","buckets":0,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"buckets past nvram": `{"version":1,"shards":2,"mode":"fwb","buckets":2305843009213693952,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"zero nvram":         `{"version":1,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":0,"log_bytes":65536}`,
+	"nvram over cap":     `{"version":1,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":18446744073709551615,"log_bytes":65536}`,
+	"zero log":           `{"version":1,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":0}`,
+	"log fills nvram":    `{"version":1,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":2097152}`,
+	"version 2":          `{"version":2,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"not json":           `{"version":1,`,
+}
+
+func TestStartRejectsHostileManifest(t *testing.T) {
+	for name, m := range hostileManifests {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Start(testConfig(dir))
+		if err == nil {
+			srv.Kill()
+			t.Errorf("%s: Start adopted the manifest", name)
+		}
+	}
+}
+
+// FuzzParseManifest: the manifest is read from the data directory, so
+// whatever its bytes, parseManifest must not panic, and what it accepts
+// must be a geometry Start can build without sizing anything from an
+// unchecked field; an accepted manifest survives a re-encode unchanged.
+func FuzzParseManifest(f *testing.F) {
+	f.Add([]byte(`{"version":1,"shards":2,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`))
+	for _, m := range hostileManifests {
+		f.Add([]byte(m))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := parseManifest(b)
+		if err != nil {
+			return
+		}
+		if m.Shards < 1 || m.Shards > maxManifestShards || !m.Mode.Spec().Persistent ||
+			m.NVRAMBytes == 0 || m.NVRAMBytes > mem.MaxImageBytes ||
+			m.LogBytes == 0 || m.LogBytes >= m.NVRAMBytes ||
+			m.Buckets == 0 || m.Buckets*mem.WordSize > m.NVRAMBytes {
+			t.Fatalf("accepted out-of-bounds manifest %+v", m)
+		}
+		re, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := parseManifest(re); err != nil || back != m {
+			t.Fatalf("re-encode changed manifest: %+v -> %+v (%v)", m, back, err)
 		}
 	})
 }

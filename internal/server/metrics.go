@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"pmemlog/internal/flight"
@@ -12,20 +13,18 @@ import (
 
 // Observability wiring for the server: a metrics registry answering
 // OpMetrics in Prometheus text exposition format, per-op latency
-// histograms, and (when Config.TraceEvents > 0) an event tracer whose
-// rings follow the request path — receive on the network ring, then
-// enqueue/apply/ack on the owning shard's ring. Trace timestamps are
-// nanoseconds since server start, so a captured server trace feeds the
-// same Chrome trace_event exporter as a simulator trace (with -ghz 1 a
-// "cycle" is one nanosecond).
+// histograms, and the accounting of the shard machines' event tracers
+// (attached in Start when Config.TraceEvents > 0). A request's path
+// through the server is recorded once, as its flight span; the tracer
+// rings hold only machine events, in cycles, tagged with that span.
 
 // dataOps are the opcodes that get latency histograms and per-op
 // request counters; introspection opcodes are excluded so scraping the
 // server does not perturb the series being scraped.
 var dataOps = []byte{OpGet, OpPut, OpDel, OpTxn}
 
-// initObs builds the registry handles and (optionally) the tracer.
-// Called once from Start before any request can arrive.
+// initObs builds the registry handles and the span table. Called once
+// from Start before any request can arrive.
 func (s *Server) initObs() {
 	s.t0 = time.Now()
 	s.reg = obs.NewRegistry()
@@ -40,14 +39,6 @@ func (s *Server) initObs() {
 	}
 	s.mRetries = s.reg.Counter("pmserver_retries_total", "",
 		"requests answered with backpressure (queue full or draining)")
-	if s.cfg.TraceEvents > 0 {
-		// Ring i = shard i; the last ring is the shared network ring.
-		// The tracer doubles as the flight recorder's black box, so it
-		// is created and recording from the first request; Disable/Enable
-		// still work for explicit capture windows (pmctl trace workflows).
-		s.tracer = obs.NewTracer(s.cfg.Shards+1, s.cfg.TraceEvents)
-		s.tracer.Enable()
-	}
 	thresholdNS := s.cfg.SlowThreshold.Nanoseconds()
 	if thresholdNS < 0 {
 		thresholdNS = 0 // capture disabled
@@ -55,26 +46,25 @@ func (s *Server) initObs() {
 	s.flight = flight.NewTable(s.cfg.FlightSpans, s.cfg.SlowSpans, thresholdNS)
 }
 
-// nowNS is the trace clock: nanoseconds since server start.
+// nowNS is the span clock: nanoseconds since server start.
 func (s *Server) nowNS() uint64 { return uint64(time.Since(s.t0)) }
 
-// Tracer exposes the server's event tracer; nil unless Config.TraceEvents
-// was set. Enable it, drive traffic, then Snapshot — the events slot into
-// obs.WriteChromeTrace with TracerRingNames for labels.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// TracerRingNames labels the tracer rings for trace export.
-func (s *Server) TracerRingNames() []string {
-	names := make([]string, s.cfg.Shards+1)
-	for i := 0; i < s.cfg.Shards; i++ {
-		names[i] = fmt.Sprintf("shard %d", i)
+// traceRings lists every shard machine's tracer rings in dump order —
+// shard 0's thread and machine rings first — with their labels. Both
+// are empty when tracing is off.
+func (s *Server) traceRings() (names []string, rings []obs.RingStat) {
+	for _, sh := range s.shards {
+		mt := sh.sys.Tracer()
+		if mt == nil {
+			continue
+		}
+		for _, name := range sh.sys.TracerRingNames() {
+			names = append(names, fmt.Sprintf("shard %d/%s", sh.id, name))
+		}
+		rings = append(rings, mt.RingStats()...)
 	}
-	names[s.cfg.Shards] = "network"
-	return names
+	return names, rings
 }
-
-// netRing is the tracer ring shared by connection goroutines.
-func (s *Server) netRing() int { return s.cfg.Shards }
 
 // metricsResponse renders the Prometheus text-format document answered
 // to OpMetrics: gauges set at render time (machine counters, tracer and
@@ -84,12 +74,9 @@ func (s *Server) netRing() int { return s.cfg.Shards }
 func (s *Server) metricsResponse() Response {
 	s.viewGauges()
 	set := s.setGauge
-	for i, rs := range s.tracer.RingStats() {
-		name := "network"
-		if i < s.cfg.Shards {
-			name = fmt.Sprintf("shard-%d", i)
-		}
-		lbl := fmt.Sprintf("ring=%q", name)
+	names, rings := s.traceRings()
+	for i, rs := range rings {
+		lbl := fmt.Sprintf("ring=%q", strings.ReplaceAll(names[i], " ", "-"))
 		set("pmserver_trace_emitted", lbl, "trace events emitted into this ring since start", rs.Emitted)
 		set("pmserver_trace_dropped", lbl, "trace events overwritten before any snapshot read them", rs.Dropped)
 	}

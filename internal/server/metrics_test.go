@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
-	"pmemlog/internal/obs"
+	"pmemlog/internal/flight"
 )
 
 // driveTraffic issues a representative request mix through one client.
@@ -149,56 +150,40 @@ func TestMetricsCountersMonotonic(t *testing.T) {
 	}
 }
 
-// TestServerTraceEvents checks the request-path tracer: receive on the
-// network ring, enqueue/apply/ack on the owning shard's ring, in
-// causal timestamp order per request class.
-func TestServerTraceEvents(t *testing.T) {
+// TestServerSpanStages checks the request-path record: every data
+// request's span passes recv, enqueue, apply, fwb, durable and ack in
+// that order, and with a 1 ns threshold the slow ring retains all of
+// them.
+func TestServerSpanStages(t *testing.T) {
 	cfg := testConfig(t.TempDir())
-	cfg.TraceEvents = 1 << 12
+	cfg.SlowThreshold = time.Nanosecond
 	srv, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
 
-	tr := srv.Tracer()
-	if tr == nil {
-		t.Fatal("TraceEvents set but Tracer() is nil")
-	}
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.MaxRetries = 10
-
-	tr.Enable()
+	c.EnableSpans()
 	driveTraffic(t, c, 10)
-	tr.Disable()
 
-	evs := tr.Snapshot()
-	kinds := map[obs.Kind]int{}
-	for _, e := range evs {
-		kinds[e.Kind]++
-		switch e.Kind {
-		case obs.KindSrvRecv:
-			if int(e.Ring) != cfg.Shards {
-				t.Fatalf("recv event on ring %d, want network ring %d", e.Ring, cfg.Shards)
-			}
-		case obs.KindSrvEnqueue, obs.KindSrvApply, obs.KindSrvAck:
-			if int(e.Ring) >= cfg.Shards {
-				t.Fatalf("%s event on ring %d, want a shard ring", e.Kind, e.Ring)
-			}
-		}
-	}
 	// 10 puts + 10 gets + 1 del + 1 txn = 22 data requests; stats and
 	// metrics opcodes were not issued.
-	for _, k := range []obs.Kind{obs.KindSrvRecv, obs.KindSrvEnqueue, obs.KindSrvApply, obs.KindSrvAck} {
-		if kinds[k] != 22 {
-			t.Fatalf("%s count = %d, want 22 (all kinds: %v)", k, kinds[k], kinds)
-		}
+	slow := srv.flight.Slow()
+	if len(slow) != 22 {
+		t.Fatalf("slow ring holds %d spans, want 22", len(slow))
 	}
-	if len(srv.TracerRingNames()) != cfg.Shards+1 {
-		t.Fatalf("ring names %v, want %d entries", srv.TracerRingNames(), cfg.Shards+1)
+	for _, sp := range slow {
+		stages := []int64{sp.RecvNS, sp.EnqueueNS, sp.ApplyNS, sp.FwbNS, sp.DurableNS, sp.AckNS}
+		for i, ns := range stages {
+			if ns == 0 || (i > 0 && ns < stages[i-1]) {
+				t.Fatalf("span %d (%s) stages not non-zero and ordered: %v", sp.ID, flight.OpName(sp.Op), stages)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"pmemlog/internal/chaos"
 	"pmemlog/internal/flight"
+	"pmemlog/internal/mem"
 	"pmemlog/internal/obs"
 	"pmemlog/internal/obs/pulse"
 	"pmemlog/internal/sim"
@@ -46,11 +47,12 @@ type Config struct {
 	// to this many requests; a synchronous client is unaffected.
 	ConnWindow int
 
-	// TraceEvents sets the event tracer's per-ring record count (one
-	// ring per shard plus a network ring). Zero means the default: the
-	// tracer is the flight recorder's black box and is always on, sized
-	// modestly so an idle server pays only its preallocated rings.
-	// Negative disables tracing entirely (benchmarking escape hatch).
+	// TraceEvents sets the per-ring record count of each shard machine's
+	// event tracer (one ring per hardware thread plus a machine ring;
+	// cycle timestamps). Zero means the default: the tracers are the
+	// flight recorder's black box and are always on, sized modestly so
+	// an idle server pays only its preallocated rings. Negative disables
+	// tracing entirely (benchmarking escape hatch).
 	TraceEvents int
 
 	// Flight recorder sizing. FlightSpans caps concurrently-tracked
@@ -180,6 +182,42 @@ type manifest struct {
 
 const manifestName = "pmserver.json"
 
+// maxManifestShards caps the machines one boot builds. A manifest is
+// read from disk, so every field that sizes an allocation or divides a
+// key hash is checked before use; NVRAM is capped at the largest image
+// mem.ReadPhysical re-reads.
+const maxManifestShards = 1024
+
+// parseManifest decodes and validates a persisted manifest.
+func parseManifest(b []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		return manifest{}, err
+	}
+	if m.Version != 1 {
+		return manifest{}, fmt.Errorf("version %d unsupported", m.Version)
+	}
+	return m, m.validate()
+}
+
+// validate rejects a geometry no shard can be built from, and any mode
+// whose acks would promise a durability it does not provide.
+func (m manifest) validate() error {
+	switch {
+	case m.Shards < 1 || m.Shards > maxManifestShards:
+		return fmt.Errorf("shards %d outside [1, %d]", m.Shards, maxManifestShards)
+	case !m.Mode.Spec().Persistent:
+		return fmt.Errorf("mode %q gives no persistence guarantee; refusing to serve writes", m.Mode)
+	case m.NVRAMBytes == 0 || m.NVRAMBytes > mem.MaxImageBytes:
+		return fmt.Errorf("nvram_bytes %d outside [1, %d]", m.NVRAMBytes, uint64(mem.MaxImageBytes))
+	case m.LogBytes == 0 || m.LogBytes >= m.NVRAMBytes:
+		return fmt.Errorf("log_bytes %d outside [1, nvram_bytes %d)", m.LogBytes, m.NVRAMBytes)
+	case m.Buckets == 0 || m.Buckets > m.NVRAMBytes/mem.WordSize:
+		return fmt.Errorf("buckets %d outside [1, %d]", m.Buckets, m.NVRAMBytes/mem.WordSize)
+	}
+	return nil
+}
+
 // Server is a running pmserver instance.
 type Server struct {
 	cfg    Config
@@ -207,7 +245,6 @@ type Server struct {
 	// once in initObs; the request path only touches the atomic handles.
 	t0       time.Time
 	reg      *obs.Registry
-	tracer   *obs.Tracer
 	opHist   map[byte]*obs.Histogram
 	opCount  map[byte]*obs.Counter
 	mRetries *obs.Counter
@@ -263,23 +300,21 @@ func Start(cfg Config) (*Server, error) {
 	// Adopt the persisted manifest when the data directory is live.
 	manPath := filepath.Join(cfg.Dir, manifestName)
 	if b, err := os.ReadFile(manPath); err == nil {
-		var m manifest
-		if err := json.Unmarshal(b, &m); err != nil {
+		m, err := parseManifest(b)
+		if err != nil {
 			return nil, fmt.Errorf("server: manifest %s: %w", manPath, err)
-		}
-		if m.Version != 1 {
-			return nil, fmt.Errorf("server: manifest version %d unsupported", m.Version)
 		}
 		cfg.Shards, cfg.Mode, cfg.Buckets = m.Shards, m.Mode, m.Buckets
 		cfg.NVRAMBytes, cfg.LogBytes = m.NVRAMBytes, m.LogBytes
 	} else if os.IsNotExist(err) {
-		if !cfg.Mode.Spec().Persistent {
-			return nil, fmt.Errorf("server: mode %q gives no persistence guarantee; refusing to serve writes", cfg.Mode)
-		}
-		b, _ := json.MarshalIndent(manifest{
+		m := manifest{
 			Version: 1, Shards: cfg.Shards, Mode: cfg.Mode, Buckets: cfg.Buckets,
 			NVRAMBytes: cfg.NVRAMBytes, LogBytes: cfg.LogBytes,
-		}, "", "  ")
+		}
+		if err := m.validate(); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		b, _ := json.MarshalIndent(m, "", "  ")
 		tmp := manPath + ".tmp"
 		if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
 			return nil, err
@@ -305,12 +340,11 @@ func Start(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.tracer, sh.nowNS = s.tracer, s.nowNS
-		sh.onPanic = s.panicDump
+		sh.nowNS, sh.onPanic = s.nowNS, s.panicDump
 		if cfg.TraceEvents > 0 {
 			// Each shard machine records into its own black-box tracer
 			// (thread + machine rings, cycle timestamps); a flight dump
-			// merges these behind the server's request rings.
+			// carries these rings, and a span's tag links it to them.
 			sh.sys.AttachTracer(cfg.TraceEvents).Enable()
 		}
 		if sh.bootRep != nil {
@@ -395,7 +429,7 @@ type connReq struct {
 
 	// Flight-recorder state for spanned requests (wire Span != 0). span
 	// is nil when the request is untraced or the table shed it; spanTag
-	// still annotates the obs events either way.
+	// still tags the shard machine's events either way.
 	span    *flight.Span
 	spanTag uint32
 }
@@ -448,9 +482,6 @@ read:
 			if cr.req.Span != 0 {
 				cr.spanTag = flight.SpanTag(cr.req.Span)
 				cr.span = s.flight.Acquire(cr.req.Span, cr.req.Code, int64(s.nowNS()))
-			}
-			if s.tracer.Enabled() {
-				s.tracer.EmitSpan(s.netRing(), s.nowNS(), obs.KindSrvRecv, 0, uint64(cr.req.Code), cr.spanTag)
 			}
 		}
 		cr.seq, cr.code, cr.start = cr.req.Seq, cr.req.Code, time.Now()
@@ -592,15 +623,12 @@ func (s *Server) routeAsync(cr *connReq, out chan *connReq) bool {
 	sh := s.shards[home]
 	// Finish with cr before the enqueue hands it to the shard: the shard
 	// may answer and the conn writer recycle cr (and its span) before
-	// tryEnqueue even returns — so the enqueue mark and trace event come
-	// first, or the shard's apply and ack could be recorded ahead of them.
-	// A refused request keeps both: it did reach the queue's door.
+	// tryEnqueue even returns — so the enqueue mark comes first, or the
+	// shard's apply and ack could be recorded ahead of it. A refused
+	// request keeps it: it did reach the queue's door.
 	if cr.span != nil {
 		cr.span.SetShard(home)
 		cr.span.Mark(flight.StageEnqueue, int64(s.nowNS()))
-	}
-	if s.tracer.Enabled() {
-		s.tracer.EmitSpan(home, s.nowNS(), obs.KindSrvEnqueue, 0, uint64(req.Code), cr.spanTag)
 	}
 	cr.sr = request{req: req, pr: cr, out: out}
 	if !sh.tryEnqueue(&cr.sr) {
@@ -634,7 +662,7 @@ type StatsSnapshot struct {
 
 	// Tracer ring accounting: silent event loss on the always-on black
 	// box is itself a diagnostic, so emitted/dropped counts are surfaced
-	// per ring (request rings first, then the network ring).
+	// per shard machine ring, in dump order (see traceRings).
 	TracerRings   []obs.RingStat `json:"tracer_rings,omitempty"`
 	TracerEmitted uint64         `json:"tracer_emitted"`
 	TracerDropped uint64         `json:"tracer_dropped"`
@@ -664,7 +692,7 @@ func (s *Server) Stats() (StatsSnapshot, error) {
 			snap.OpLatencies[flight.OpName(code)] = h.Summary()
 		}
 	}
-	snap.TracerRings = s.tracer.RingStats()
+	_, snap.TracerRings = s.traceRings()
 	for _, rs := range snap.TracerRings {
 		snap.TracerEmitted += rs.Emitted
 		snap.TracerDropped += rs.Dropped

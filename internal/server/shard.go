@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"pmemlog/internal/flight"
-	"pmemlog/internal/obs"
 	"pmemlog/internal/obs/pulse"
 	"pmemlog/internal/recovery"
 	"pmemlog/internal/sim"
@@ -72,10 +71,8 @@ type shard struct {
 	batch []*request
 	resps []Response
 
-	// Observability, installed by Start before loop() runs. tracer may
-	// be nil (Emit/Enabled are nil-safe); ring sh.id is this shard's.
-	tracer *obs.Tracer
-	nowNS  func() uint64
+	// nowNS is the span clock, installed by Start before loop() runs.
+	nowNS func() uint64
 
 	// onPanic, when set, writes a flight-recorder dump before the panic
 	// propagates out of the shard loop and kills the process.
@@ -281,9 +278,6 @@ func (sh *shard) runBatch(batch []*request) {
 			}
 			sh.live.Requests++
 			tag, sp := r.pr.spanTag, r.pr.span
-			if sh.tracer.Enabled() {
-				sh.tracer.EmitSpan(sh.id, sh.nowNS(), obs.KindSrvApply, 0, uint64(r.req.Code), tag)
-			}
 			var tailBefore, commitBefore uint64
 			if tag != 0 {
 				// Stamp the machine's tx/log events with this request's
@@ -341,9 +335,6 @@ func (sh *shard) runBatch(batch []*request) {
 		if r.stats != nil {
 			r.stats <- sh.snapshot()
 			continue
-		}
-		if sh.tracer.Enabled() {
-			sh.tracer.EmitSpan(sh.id, sh.nowNS(), obs.KindSrvAck, 0, uint64(resps[i].Status), r.pr.spanTag)
 		}
 		r.pr.resp = resps[i]
 		r.pr.resp.Seq = r.req.Seq
