@@ -151,12 +151,22 @@ func LoadDump(path string) (*Dump, error) {
 	if err != nil {
 		return nil, err
 	}
+	d, err := parseDump(data)
+	if err != nil {
+		return nil, fmt.Errorf("flight: dump %s: %w", path, err)
+	}
+	return d, nil
+}
+
+// parseDump decodes and validates a dump's bytes. A dump travels between
+// machines, so its bytes are untrusted input (fuzzed by FuzzParseDump).
+func parseDump(data []byte) (*Dump, error) {
 	var d Dump
 	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("flight: parse dump %s: %w", path, err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	if d.Version != DumpVersion {
-		return nil, fmt.Errorf("flight: dump %s has version %d, this build reads %d", path, d.Version, DumpVersion)
+		return nil, fmt.Errorf("version %d, this build reads %d", d.Version, DumpVersion)
 	}
 	return &d, nil
 }

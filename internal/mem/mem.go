@@ -111,9 +111,10 @@ func (p *Physical) Base() Addr { return p.base }
 func (p *Physical) Size() uint64 { return p.size }
 
 // Contains reports whether [a, a+n) lies inside the region.
+// Overflow-safe for any a and n: addresses come from untrusted images.
 func (p *Physical) Contains(a Addr, n int) bool {
-	off := int64(a) - int64(p.base)
-	return off >= 0 && off+int64(n) <= int64(p.size)
+	off := uint64(a - p.base)
+	return a >= p.base && n >= 0 && off <= p.size && uint64(n) <= p.size-off
 }
 
 func (p *Physical) offset(a Addr, n int) uint64 {

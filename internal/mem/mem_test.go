@@ -98,7 +98,8 @@ func TestPhysicalContains(t *testing.T) {
 	if !p.Contains(0x1000, 256) {
 		t.Error("Contains(full region) = false")
 	}
-	if p.Contains(0x0fff, 1) || p.Contains(0x10ff, 2) || p.Contains(0x1100, 1) {
+	if p.Contains(0x0fff, 1) || p.Contains(0x10ff, 2) || p.Contains(0x1100, 1) ||
+		p.Contains(1<<63, 0x2000) || p.Contains(0x1000, -1) {
 		t.Error("Contains out-of-range accepted")
 	}
 }

@@ -62,3 +62,41 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWalk: arbitrary metadata blocks and record bytes, walked from the
+// image's own base and from an arbitrary one, must never panic; what the
+// walk accepts lies wholly inside the image.
+func FuzzWalk(f *testing.F) {
+	const base = mem.Addr(0x1000)
+	l, ws, err := New(Config{Base: base, SizeBytes: MetaSize + 16*FullEntrySize, Style: UndoRedo})
+	if err != nil {
+		f.Fatal(err)
+	}
+	meta := ws[0].Bytes
+	rec, err := l.PrepareAppend(Entry{Kind: KindUpdate, TxID: 3, Addr: 0x8000, Undo: 1, Redo: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	forward := append([]byte(nil), meta...)
+	putWord(forward[40:48], mem.Word(1<<50))
+	f.Add(meta, rec[0].Bytes, uint64(base))
+	f.Add(forward, []byte{}, uint64(0))
+	f.Add(meta, []byte{0x5F, 0xB0}, uint64(1<<63))
+	f.Fuzz(func(t *testing.T, metaBlock, slots []byte, extra uint64) {
+		img := mem.NewPhysical(base, 64<<10)
+		img.Write(base, metaBlock[:min(len(metaBlock), MetaSize)])
+		img.Write(base+MetaSize, slots[:min(len(slots), int(img.Size())-MetaSize)])
+		regions, err := Walk(img, []mem.Addr{base, mem.Addr(extra)})
+		if err != nil {
+			return // rejecting hostile metadata is correct behaviour
+		}
+		for _, r := range regions {
+			if !img.Contains(r.Base, MetaSize+int(r.Meta.Capacity*r.Meta.SlotSize())) {
+				t.Fatalf("walk accepted region %v with %d slots outside the image", r.Base, r.Meta.Capacity)
+			}
+			if uint64(len(r.Entries)) != r.TrueTail-r.Meta.Head {
+				t.Fatalf("entry count %d != window %d", len(r.Entries), r.TrueTail-r.Meta.Head)
+			}
+		}
+	})
+}

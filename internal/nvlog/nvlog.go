@@ -619,6 +619,9 @@ func (m Meta) SlotSize() uint64 {
 
 // ReadMeta parses the metadata block at base from a (post-crash) image.
 func ReadMeta(img *mem.Physical, base mem.Addr) (Meta, error) {
+	if !img.Contains(base, MetaSize) {
+		return Meta{}, fmt.Errorf("nvlog: metadata at %v lies outside the image", base)
+	}
 	buf := img.Read(base, MetaSize)
 	if buf[0] != magic0 || buf[1] != magic1 {
 		return Meta{}, errors.New("nvlog: bad metadata magic")
@@ -655,13 +658,17 @@ func ForwardWrite(img *mem.Physical, oldBase, newBase mem.Addr) Write {
 // *completion* of all earlier record writes, so a store whose record fell
 // into a hole can have neither stolen its way into NVRAM nor been part of
 // a durably-acknowledged commit. It returns the records in append order
-// along with the discovered true tail.
+// along with the discovered true tail; a slot range that does not fit in
+// the image is an error.
 func Scan(img *mem.Physical, base mem.Addr, meta Meta) ([]Entry, uint64, error) {
 	if meta.Capacity == 0 {
 		return nil, 0, errors.New("nvlog: zero capacity in metadata")
 	}
 	entrySize := meta.Style.EntrySize()
 	slotSize := meta.SlotSize()
+	if meta.Capacity > img.Size()/slotSize || !img.Contains(base, MetaSize+int(meta.Capacity*slotSize)) {
+		return nil, 0, fmt.Errorf("nvlog: %d slots of %d bytes at %v lie outside the image", meta.Capacity, slotSize, base)
+	}
 	slotAddr := func(seq uint64) mem.Addr {
 		return base + MetaSize + mem.Addr((seq%meta.Capacity)*slotSize)
 	}
@@ -697,6 +704,7 @@ type Region struct {
 // region away, follows the durable forward pointers to its successor
 // (bounded — each hop is one completed grow). A grow whose forward write
 // never became durable is not followed: the log still lives at base.
+// A base or forward pointer outside the image is an error, not a fault.
 func Resolve(img *mem.Physical, base mem.Addr) (Region, error) {
 	r := Region{Base: base}
 	var err error

@@ -81,3 +81,74 @@ func TestWalkFollowsCompletedGrow(t *testing.T) {
 		t.Fatalf("recovery on the grown image: %+v", rep)
 	}
 }
+
+// TestWalkRejectsHostileMetadata feeds the log walk images whose base,
+// forward pointer or slot range lies outside the image. Every reader
+// that goes through Walk — the walk itself, recovery, and the flight
+// dump's ReadLog (doctor, scope) — must report an error, never fault.
+func TestWalkRejectsHostileMetadata(t *testing.T) {
+	const size = 64 << 10
+	// logAt builds an image holding one valid log's metadata at base,
+	// then lets the case corrupt it.
+	logAt := func(t *testing.T, imgBase, base mem.Addr, corrupt func(img *mem.Physical)) *mem.Physical {
+		img := mem.NewPhysical(imgBase, size)
+		_, ws, err := nvlog.New(nvlog.Config{Base: base, SizeBytes: nvlog.MetaSize + 16*nvlog.FullEntrySize, Style: nvlog.UndoRedo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
+			img.Write(w.Addr, w.Bytes)
+		}
+		if corrupt != nil {
+			corrupt(img)
+		}
+		return img
+	}
+	for _, tc := range []struct {
+		name  string
+		img   func(t *testing.T) *mem.Physical
+		bases []mem.Addr
+	}{
+		{"log_bases below the image", func(t *testing.T) *mem.Physical {
+			return logAt(t, 0x1000, 0x1000, nil)
+		}, []mem.Addr{0}},
+		{"log_bases past the image", func(t *testing.T) *mem.Physical {
+			return logAt(t, 0, 0, nil)
+		}, []mem.Addr{size}},
+		{"forward pointer off the image", func(t *testing.T) *mem.Physical {
+			return logAt(t, 0, 0, func(img *mem.Physical) {
+				fw := nvlog.ForwardWrite(img, 0, 1<<50)
+				img.Write(fw.Addr, fw.Bytes)
+			})
+		}, []mem.Addr{0}},
+		{"capacity beyond the image", func(t *testing.T) *mem.Physical {
+			return logAt(t, 0, 0, func(img *mem.Physical) { img.WriteWord(24, 1<<40) })
+		}, []mem.Addr{0}},
+		{"slot range runs off the end", func(t *testing.T) *mem.Physical {
+			return logAt(t, 0, size-4*nvlog.MetaSize, nil)
+		}, []mem.Addr{size - 4*nvlog.MetaSize}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := tc.img(t)
+			if _, err := nvlog.Walk(img, tc.bases); err == nil {
+				t.Error("Walk accepted the hostile log")
+			}
+			if _, err := recovery.RecoverAll(img.Snapshot(), tc.bases); err == nil {
+				t.Error("RecoverAll accepted the hostile log")
+			}
+			var saved bytes.Buffer
+			if _, err := img.WriteTo(&saved); err != nil {
+				t.Fatal(err)
+			}
+			st := flight.ShardState{}
+			for _, b := range tc.bases {
+				st.LogBases = append(st.LogBases, uint64(b))
+			}
+			if _, err := st.ReadLog(func(int) (io.ReadCloser, error) {
+				return io.NopCloser(bytes.NewReader(saved.Bytes())), nil
+			}); err == nil {
+				t.Error("ReadLog accepted the hostile log")
+			}
+		})
+	}
+}

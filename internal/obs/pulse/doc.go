@@ -1,7 +1,7 @@
 // Doc building: the versioned JSON document served at /pulse.json and
-// rendered by pmctl top. BuildDoc aggregates the last N completed windows —
-// delta bucket vectors are summed before quantiling, so a multi-window
-// p99 is a real quantile of the union, not an average of averages.
+// rendered by pmctl top. BuildDoc aggregates the last N completed windows
+// as one difference of cumulative points — a multi-window p99 is a real
+// quantile of the union's buckets, not an average of averages.
 package pulse
 
 import (
@@ -194,18 +194,6 @@ type Doc struct {
 	History   HistoryDoc    `json:"history"`
 }
 
-// addSnap accumulates src's delta buckets into dst.
-func addSnap(dst, src *obs.HistogramSnapshot) {
-	dst.Count += src.Count
-	dst.Sum += src.Sum
-	if src.Max > dst.Max {
-		dst.Max = src.Max
-	}
-	for i := range dst.Buckets {
-		dst.Buckets[i] += src.Buckets[i]
-	}
-}
-
 // quantiles summarizes an aggregated delta snapshot over secs seconds.
 func quantiles(s *obs.HistogramSnapshot, secs float64) Quantiles {
 	q := Quantiles{Count: s.Count, MaxNS: s.Max}
@@ -254,112 +242,53 @@ func (c *Collector) BuildDoc(over int) *Doc {
 		d.Stages = make([]StageDoc, 0)
 		return d
 	}
-	if over <= 0 {
-		over = 1
-	}
-	if over > ret {
-		over = ret
-	}
+	over = min(max(over, 1), ret)
 	d.WindowsAggregated = over
 
-	// windowAt(k) = the k-th most recent completed window (k=0 newest).
-	windowAt := func(k int) *window {
-		return &c.ring[(c.pos-1-uint64(k))%uint64(len(c.ring))]
+	end, start := c.point(c.pos), c.point(c.pos-uint64(over))
+	secs := float64(end.ns-start.ns) / 1e9
+	var delta obs.HistogramSnapshot
+	summarize := func(end, start *obs.HistogramSnapshot) Quantiles {
+		end.DeltaSince(start, &delta)
+		return quantiles(&delta, secs)
 	}
 
-	// Aggregate the last `over` windows.
-	opAgg := make([]obs.HistogramSnapshot, len(c.ops))
-	stageAgg := make([]obs.HistogramSnapshot, len(c.stages))
-	var e2eAgg obs.HistogramSnapshot
-	var sloTotal, sloBad uint64
-	shardAgg := make([]shardWindow, c.cfg.Shards)
-	var spanNS int64
-	exemplars := make([]Exemplar, 0, over*MaxExemplars)
-	for k := 0; k < over; k++ {
-		w := windowAt(k)
-		spanNS += w.endNS - w.startNS
-		for i := range w.ops {
-			addSnap(&opAgg[i], &w.ops[i])
-		}
-		for i := range w.stages {
-			addSnap(&stageAgg[i], &w.stages[i])
-		}
-		addSnap(&e2eAgg, &w.e2e)
-		sloTotal += w.sloTotal
-		sloBad += w.sloBad
-		for i := range w.shards {
-			sw, a := &w.shards[i], &shardAgg[i]
-			a.requests += sw.requests
-			a.batches += sw.batches
-			a.saves += sw.saves
-			a.txns += sw.txns
-			a.logAppends += sw.logAppends
-			a.logTruncated += sw.logTruncated
-			a.fwbScans += sw.fwbScans
-			a.nvramBytes += sw.nvramBytes
-			a.wrap += sw.wrap
-			a.payloadBytes += sw.payloadBytes
-			a.logUndoBytes += sw.logUndoBytes
-			a.logRedoBytes += sw.logRedoBytes
-			a.logHeaderBytes += sw.logHeaderBytes
-			a.logChecksumBytes += sw.logChecksumBytes
-			a.logBusBytes += sw.logBusBytes
-			a.dataBusBytes += sw.dataBusBytes
-			a.updateAppends += sw.updateAppends
-			a.coalescible += sw.coalescible
-			a.forcedWB += sw.forcedWB
-			a.naturalWB += sw.naturalWB
-			a.wastedForcedWB += sw.wastedForcedWB
-			a.fwbFlagged += sw.fwbFlagged
-			a.txnsMeasured += sw.txnsMeasured
-			a.txnAmpMilliSum += sw.txnAmpMilliSum
-			a.tailAdvance += sw.tailAdvance
-			a.headAdvance += sw.headAdvance
-			if k == 0 { // gauges: newest window wins
-				a.queueLen, a.queueCap, a.occupancy = sw.queueLen, sw.queueCap, sw.occupancy
-				a.logHead, a.logTail, a.logCap = sw.logHead, sw.logTail, sw.logCap
-				a.liveRecords = sw.liveRecords
-			}
-		}
-		exemplars = append(exemplars, w.exemplars[:w.exN]...)
-	}
-	secs := float64(spanNS) / 1e9
-
-	d.E2E = quantiles(&e2eAgg, secs)
+	d.E2E = summarize(&end.e2e, &start.e2e)
 	d.Ops = make([]OpDoc, len(c.ops))
 	for i := range c.ops {
-		d.Ops[i] = OpDoc{Op: c.ops[i].name, Quantiles: quantiles(&opAgg[i], secs)}
+		d.Ops[i] = OpDoc{Op: c.ops[i].name, Quantiles: summarize(&end.ops[i], &start.ops[i])}
 	}
 	d.Stages = make([]StageDoc, len(c.stages))
 	for i := range c.stages {
-		d.Stages[i] = StageDoc{Stage: c.stages[i].name, Quantiles: quantiles(&stageAgg[i], secs)}
+		d.Stages[i] = StageDoc{Stage: c.stages[i].name, Quantiles: summarize(&end.stages[i], &start.stages[i])}
 		if d.E2E.P99NS > 0 {
 			d.Stages[i].ShareP99 = float64(d.Stages[i].P99NS) / float64(d.E2E.P99NS)
 		}
 	}
 	d.Shards = make([]ShardDoc, c.cfg.Shards)
-	for i := range shardAgg {
-		a := &shardAgg[i]
-		sd := ShardDoc{
-			Shard:        i,
-			QueueLen:     a.queueLen,
-			QueueCap:     a.queueCap,
-			LogOccupancy: a.occupancy,
+	counts := make([]ShardSample, c.cfg.Shards)
+	for i := range end.shards {
+		g, a := &end.shards[i], &counts[i]
+		*a = sampleSince(g, &start.shards[i])
+		sd := ShardDoc{Shard: i, QueueLen: g.QueueLen, QueueCap: g.QueueCap}
+		if g.LogCap > 0 {
+			sd.LogOccupancy = float64(g.LogTail-g.LogHead) / float64(g.LogCap)
 		}
 		if secs > 0 {
-			sd.ThroughputPerSec = float64(a.requests) / secs
-			sd.BatchesPerSec = float64(a.batches) / secs
-			sd.SavesPerSec = float64(a.saves) / secs
-			sd.TxnsPerSec = float64(a.txns) / secs
-			sd.LogAppendsPerSec = float64(a.logAppends) / secs
-			sd.LogTruncPerSec = float64(a.logTruncated) / secs
-			sd.FwbScansPerSec = float64(a.fwbScans) / secs
-			sd.NVRAMBytesPerSec = float64(a.nvramBytes) / secs
-			sd.WrapRatePerSec = a.wrap / secs
+			sd.ThroughputPerSec = float64(a.Requests) / secs
+			sd.BatchesPerSec = float64(a.Batches) / secs
+			sd.SavesPerSec = float64(a.Saves) / secs
+			sd.TxnsPerSec = float64(a.Txns) / secs
+			sd.LogAppendsPerSec = float64(a.LogAppends) / secs
+			sd.LogTruncPerSec = float64(a.LogTruncated) / secs
+			sd.FwbScansPerSec = float64(a.FwbScans) / secs
+			sd.NVRAMBytesPerSec = float64(a.NVRAMWriteBytes) / secs
+			sd.WrapRatePerSec = wraps(g, a.LogTail) / secs
 		}
 		d.Shards[i] = sd
 	}
-	d.Scope = buildScope(shardAgg, secs)
+	d.Scope = buildScope(end.shards, counts, secs)
+	sloTotal, sloBad := satSub(end.sloTotal, start.sloTotal), satSub(end.sloBad, start.sloBad)
 	d.SLO = SLODoc{
 		ObjectiveNS: c.cfg.SLOLatencyNS,
 		Budget:      c.cfg.SLOBudget,
@@ -372,6 +301,11 @@ func (c *Collector) BuildDoc(over int) *Doc {
 	}
 
 	// Slowest exemplars across the aggregated windows, slowest first.
+	exemplars := make([]Exemplar, 0, over*MaxExemplars)
+	for k := 0; k < over; k++ {
+		p := c.point(c.pos - uint64(k))
+		exemplars = append(exemplars, p.exemplars[:p.exN]...)
+	}
 	sort.Slice(exemplars, func(a, b int) bool { return exemplars[a].LatNS > exemplars[b].LatNS })
 	if len(exemplars) > maxDocExemplars {
 		exemplars = exemplars[:maxDocExemplars]
@@ -380,7 +314,8 @@ func (c *Collector) BuildDoc(over int) *Doc {
 		d.Exemplars = append(d.Exemplars, exemplarDoc(&exemplars[i]))
 	}
 
-	// History over every retained window, oldest first.
+	// History over every retained window, oldest first: window k is the
+	// difference of adjacent points.
 	d.History = HistoryDoc{
 		WindowNS:         make([]int64, ret),
 		ThroughputPerSec: make([]float64, ret),
@@ -389,83 +324,85 @@ func (c *Collector) BuildDoc(over int) *Doc {
 		BurnRate:         make([]float64, ret),
 	}
 	for k := 0; k < ret; k++ {
-		w := windowAt(ret - 1 - k)
-		dur := w.endNS - w.startNS
+		j := c.pos - uint64(ret-1-k)
+		end, start := c.point(j), c.point(j-1)
+		dur := end.ns - start.ns
 		d.History.WindowNS[k] = dur
 		wsecs := float64(dur) / 1e9
 		var reqs uint64
 		var wrapMax float64
-		for i := range w.shards {
-			reqs += w.shards[i].requests
-			if w.shards[i].wrap > wrapMax {
-				wrapMax = w.shards[i].wrap
-			}
+		for i := range end.shards {
+			g, s := &end.shards[i], &start.shards[i]
+			reqs += satSub(g.Requests, s.Requests)
+			wrapMax = max(wrapMax, wraps(g, satSub(g.LogTail, s.LogTail)))
 		}
 		if wsecs > 0 {
 			d.History.ThroughputPerSec[k] = float64(reqs) / wsecs
 			d.History.WrapRatePerSec[k] = wrapMax / wsecs
 		}
-		if w.e2e.Count > 0 {
-			d.History.P99NS[k] = w.e2e.Quantile(0.99)
+		if end.e2e.DeltaSince(&start.e2e, &delta); delta.Count > 0 {
+			d.History.P99NS[k] = delta.Quantile(0.99)
 		}
-		if w.sloTotal > 0 {
-			d.History.BurnRate[k] = float64(w.sloBad) / float64(w.sloTotal) / c.cfg.SLOBudget
+		if total := satSub(end.sloTotal, start.sloTotal); total > 0 {
+			d.History.BurnRate[k] = float64(satSub(end.sloBad, start.sloBad)) / float64(total) / c.cfg.SLOBudget
 		}
 	}
 	return d
 }
 
-// buildScope derives the persistence-domain cost section from the
-// aggregated shard windows.
-func buildScope(shardAgg []shardWindow, secs float64) ScopeDoc {
-	sc := ScopeDoc{Shards: make([]ScopeShardDoc, len(shardAgg))}
+// buildScope derives the persistence-domain cost section from each
+// shard's window counts and its gauges at the window's end.
+func buildScope(ends, counts []ShardSample, secs float64) ScopeDoc {
+	sc := ScopeDoc{Shards: make([]ScopeShardDoc, len(counts))}
 	var totPayload, totLog, totWB, totUpdates, totCoalescible uint64
-	for i := range shardAgg {
-		a := &shardAgg[i]
-		logBytes := a.logUndoBytes + a.logRedoBytes + a.logHeaderBytes + a.logChecksumBytes
-		wbBytes := (a.forcedWB + a.naturalWB) * mem.LineSize
+	for i := range counts {
+		g, a := &ends[i], &counts[i]
+		logBytes := a.LogUndoBytes + a.LogRedoBytes + a.LogHeaderBytes + a.LogChecksumBytes
+		naturalWB := a.NaturalWB()
+		wbBytes := (a.ForcedWB + naturalWB) * mem.LineSize
 		s := ScopeShardDoc{
 			Shard:            i,
-			LiveRecords:      a.liveRecords,
-			ReplayEstRecords: a.liveRecords,
+			LiveRecords:      g.LiveRecords,
+			ReplayEstRecords: g.LiveRecords,
 			WrapETASeconds:   -1,
 			FullETASeconds:   -1,
 		}
 		if secs > 0 {
-			s.PayloadBytesPerSec = float64(a.payloadBytes) / secs
+			s.PayloadBytesPerSec = float64(a.PayloadBytes) / secs
 			s.LogBytesPerSec = float64(logBytes) / secs
-			s.LogUndoBytesPerSec = float64(a.logUndoBytes) / secs
-			s.LogRedoBytesPerSec = float64(a.logRedoBytes) / secs
-			s.LogHeaderBytesPerSec = float64(a.logHeaderBytes) / secs
-			s.LogChecksumBytesPerSec = float64(a.logChecksumBytes) / secs
-			s.ForcedWBBytesPerSec = float64(a.forcedWB) * mem.LineSize / secs
-			s.NaturalWBBytesPerSec = float64(a.naturalWB) * mem.LineSize / secs
+			s.LogUndoBytesPerSec = float64(a.LogUndoBytes) / secs
+			s.LogRedoBytesPerSec = float64(a.LogRedoBytes) / secs
+			s.LogHeaderBytesPerSec = float64(a.LogHeaderBytes) / secs
+			s.LogChecksumBytesPerSec = float64(a.LogChecksumBytes) / secs
+			s.ForcedWBBytesPerSec = float64(a.ForcedWB) * mem.LineSize / secs
+			s.NaturalWBBytesPerSec = float64(naturalWB) * mem.LineSize / secs
 		}
-		if a.payloadBytes > 0 {
-			s.WriteAmp = float64(logBytes+wbBytes) / float64(a.payloadBytes)
+		if a.PayloadBytes > 0 {
+			s.WriteAmp = float64(logBytes+wbBytes) / float64(a.PayloadBytes)
 		}
-		if a.txnsMeasured > 0 {
-			s.TxnWriteAmpMean = float64(a.txnAmpMilliSum) / float64(a.txnsMeasured) / 1000
+		if a.TxnsMeasured > 0 {
+			s.TxnWriteAmpMean = float64(a.TxnAmpMilliSum) / float64(a.TxnsMeasured) / 1000
 		}
-		if a.updateAppends > 0 {
-			s.CoalescibleFraction = float64(a.coalescible) / float64(a.updateAppends)
+		if a.UpdateAppends > 0 {
+			s.CoalescibleFraction = float64(a.CoalescibleAppends) / float64(a.UpdateAppends)
 		}
-		if a.forcedWB > 0 {
-			s.WastedForcedFraction = float64(a.wastedForcedWB) / float64(a.forcedWB)
+		if a.ForcedWB > 0 {
+			s.WastedForcedFraction = float64(a.WastedForcedWB) / float64(a.ForcedWB)
 		}
-		if a.fwbScans > 0 {
-			s.FwbForcedPerScan = float64(a.forcedWB) / float64(a.fwbScans)
-			s.FwbFlaggedPerScan = float64(a.fwbFlagged) / float64(a.fwbScans)
+		if a.FwbScans > 0 {
+			s.FwbForcedPerScan = float64(a.ForcedWB) / float64(a.FwbScans)
+			s.FwbFlaggedPerScan = float64(a.FwbFlagged) / float64(a.FwbScans)
 		}
 		// Wrap forecast: seconds until the tail next crosses a capacity
-		// boundary at this window's append rate; full forecast: seconds
-		// until free records run out at the net append-minus-reclaim
-		// rate. Head/tail are monotonic record sequence numbers.
-		if secs > 0 && a.logCap > 0 && a.tailAdvance > 0 {
-			appendRate := float64(a.tailAdvance) / secs
-			s.WrapETASeconds = float64(a.logCap-a.logTail%a.logCap) / appendRate
-			if net := appendRate - float64(a.headAdvance)/secs; net > 0 {
-				if free := a.logCap - (a.logTail - a.logHead); free > 0 {
+		// boundary at this window's append rate (a.LogTail is the tail
+		// advance); full forecast: seconds until free records run out at
+		// the net append-minus-reclaim rate. Head/tail are monotonic
+		// record sequence numbers.
+		if secs > 0 && g.LogCap > 0 && a.LogTail > 0 {
+			appendRate := float64(a.LogTail) / secs
+			s.WrapETASeconds = float64(g.LogCap-g.LogTail%g.LogCap) / appendRate
+			if net := appendRate - float64(a.LogHead)/secs; net > 0 {
+				if free := g.LogCap - (g.LogTail - g.LogHead); free > 0 {
 					s.FullETASeconds = float64(free) / net
 				} else {
 					s.FullETASeconds = 0
@@ -473,11 +410,11 @@ func buildScope(shardAgg []shardWindow, secs float64) ScopeDoc {
 			}
 		}
 		sc.Shards[i] = s
-		totPayload += a.payloadBytes
+		totPayload += a.PayloadBytes
 		totLog += logBytes
 		totWB += wbBytes
-		totUpdates += a.updateAppends
-		totCoalescible += a.coalescible
+		totUpdates += a.UpdateAppends
+		totCoalescible += a.CoalescibleAppends
 	}
 	if secs > 0 {
 		sc.PayloadBytesPerSec = float64(totPayload) / secs

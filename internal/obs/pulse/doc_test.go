@@ -28,8 +28,6 @@ func scopeSample(scale uint64) ShardSample {
 			LogTruncated:    40 * scale,
 			FwbScans:        2 * scale,
 			NVRAMWriteBytes: 9000 * scale,
-			LogBusBytes:     4000 * scale,
-			DataBusBytes:    1280 * scale,
 			FwbFlagged:      30 * scale,
 			LiveRecords:     60 * scale,
 			Ledger: scope.Ledger{

@@ -1,6 +1,6 @@
 // Package pulse is the windowed live-telemetry layer over the metrics
-// registry and the flight recorder: a ring of per-interval delta
-// snapshots that turns cumulative counters into rates, whole-life log2
+// registry and the flight recorder: a ring of cumulative points, one
+// per tick, whose differences turn counters into rates, whole-life log2
 // histograms into windowed p50/p95/p99/p99.9 (bucket interpolation),
 // and gauges into last-sampled values — plus a stage-attribution engine
 // that folds completed request spans into per-stage windowed histograms
@@ -15,13 +15,14 @@
 // and per interval, not lifetime averages.
 //
 // Cost contract: every source read in Tick is an atomic load (registry
-// handles) or one struct copy of a shard's published view, every window
-// slot is preallocated on the first tick, and the steady-state tick
+// handles) or one struct copy of a shard's published view, every point
+// is preallocated on the first tick, and the steady-state tick
 // allocates nothing — guarded by TestPulseZeroAllocSteadyState,
 // mirroring the shard-apply and nvlog alloc guards.
 package pulse
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,63 +102,19 @@ type Exemplar struct {
 	LatNS int64               `json:"lat_ns"`
 }
 
-// series is one tracked histogram and its previous snapshot.
+// series is one tracked histogram.
 type series struct {
 	name string
 	h    *obs.Histogram
-	prev obs.HistogramSnapshot
-	cur  obs.HistogramSnapshot // tick scratch
 }
 
-// shardWindow is one shard's slice of one window.
-type shardWindow struct {
-	queueLen  int
-	queueCap  int
-	occupancy float64
-	wrap      float64 // log passes advanced this window
-
-	requests     uint64
-	batches      uint64
-	saves        uint64
-	txns         uint64
-	logAppends   uint64
-	logTruncated uint64
-	fwbScans     uint64
-	nvramBytes   uint64
-
-	// Scope deltas for this window (counts/bytes, not rates — BuildDoc
-	// divides by the window span).
-	payloadBytes     uint64
-	logUndoBytes     uint64
-	logRedoBytes     uint64
-	logHeaderBytes   uint64
-	logChecksumBytes uint64
-	logBusBytes      uint64
-	dataBusBytes     uint64
-	updateAppends    uint64
-	coalescible      uint64
-	forcedWB         uint64
-	naturalWB        uint64
-	wastedForcedWB   uint64
-	fwbFlagged       uint64
-	txnsMeasured     uint64
-	txnAmpMilliSum   uint64
-
-	// Wrap-forecast inputs: records appended (tail advance) and
-	// reclaimed (head advance) this window, plus end-of-window gauges.
-	tailAdvance uint64
-	headAdvance uint64
-	logHead     uint64
-	logTail     uint64
-	logCap      uint64
-	liveRecords uint64
-}
-
-// window is one completed interval's delta view.
-type window struct {
-	seq     uint64
-	startNS int64
-	endNS   int64
+// point is every tracked source read at one tick, cumulative since the
+// process started: a window is the difference of two points. Registry
+// histograms and counters never reset and a shard's view is published
+// whole, so differencing any two points is exact — the same numbers the
+// windows between them sum to.
+type point struct {
+	ns int64
 
 	ops    []obs.HistogramSnapshot // parallel to Collector.ops
 	stages []obs.HistogramSnapshot // parallel to Collector.stages
@@ -166,8 +123,9 @@ type window struct {
 	sloTotal uint64
 	sloBad   uint64
 
-	shards []shardWindow
+	shards []ShardSample
 
+	// The tail exemplars of the window this point closes.
 	exemplars [MaxExemplars]Exemplar
 	exN       int
 }
@@ -178,23 +136,23 @@ type window struct {
 // every source is atomic or a published copy, and the ring is
 // mutex-guarded off the hot path.
 type Collector struct {
-	cfg Config
+	cfg    Config
+	bootNS int64 // point 0's time: collector creation
 
 	mu     sync.Mutex
 	ops    []series
 	stages []series
-	e2e    series
+	e2e    *obs.Histogram
 
 	sloTotal *obs.Counter
 	sloBad   *obs.Counter
-	prevSLO  [2]uint64 // total, bad
 
-	prevShards   []ShardSample
-	shardScratch ShardSample
-
-	ring          []window
-	pos           uint64 // completed windows ever taken
-	windowStartNS int64
+	// points is a ring of the last Windows+1 points: point k (the k-th
+	// tick; point 0 is the all-zero creation point) lives at
+	// points[k%len(points)], and pos is the newest point's k, which is
+	// also the number of completed windows.
+	points []point
+	pos    uint64
 
 	// Tail-exemplar capture for the current (open) window. exFloor is
 	// the fast-path rejection gate: once the slot set is full it holds
@@ -210,9 +168,7 @@ type Collector struct {
 // the first Tick.
 func New(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
-	c := &Collector{cfg: cfg}
-	c.windowStartNS = cfg.NowNS()
-	return c
+	return &Collector{cfg: cfg, bootNS: cfg.NowNS()}
 }
 
 // Interval reports the configured window width.
@@ -233,7 +189,7 @@ func (c *Collector) TrackStage(name string, h *obs.Histogram) {
 // TrackE2E registers the end-to-end latency histogram the stage shares
 // are measured against. Setup-time only.
 func (c *Collector) TrackE2E(h *obs.Histogram) {
-	c.e2e = series{name: "e2e", h: h}
+	c.e2e = h
 }
 
 // TrackSLO registers the objective counters: total data requests and
@@ -242,122 +198,65 @@ func (c *Collector) TrackSLO(total, bad *obs.Counter) {
 	c.sloTotal, c.sloBad = total, bad
 }
 
-// init preallocates the window ring for the tracked series (first Tick,
+// init preallocates the point ring for the tracked series (first Tick,
 // under mu). After this the steady-state tick is allocation-free.
 func (c *Collector) init() {
-	c.ring = make([]window, c.cfg.Windows)
-	for i := range c.ring {
-		w := &c.ring[i]
-		w.ops = make([]obs.HistogramSnapshot, len(c.ops))
-		w.stages = make([]obs.HistogramSnapshot, len(c.stages))
-		w.shards = make([]shardWindow, c.cfg.Shards)
+	c.points = make([]point, c.cfg.Windows+1)
+	for i := range c.points {
+		p := &c.points[i]
+		p.ops = make([]obs.HistogramSnapshot, len(c.ops))
+		p.stages = make([]obs.HistogramSnapshot, len(c.stages))
+		p.shards = make([]ShardSample, c.cfg.Shards)
 	}
-	c.prevShards = make([]ShardSample, c.cfg.Shards)
-	// No baseline snapshots: prev stays zero, so the first window is a
-	// delta from collector creation — the server builds its collector
-	// at startup, making the first window "everything since boot",
-	// which is the honest reading.
+	// Point 0 is all zero at collector creation: the server builds its
+	// collector at startup, so the first window is "everything since
+	// boot", which is the honest reading.
+	c.points[0].ns = c.bootNS
 }
 
-// Tick closes the current window: every tracked source is snapshotted,
-// differenced against the previous snapshot, and the delta written into
-// the ring slot in place. Steady-state allocation-free.
+// point returns point k of the ring (k within the last Windows+1).
+func (c *Collector) point(k uint64) *point {
+	return &c.points[k%uint64(len(c.points))]
+}
+
+// Tick closes the current window: every tracked source is read into the
+// next point of the ring, in place. Steady-state allocation-free.
 //
 //pmlint:hot
 func (c *Collector) Tick() {
 	now := c.cfg.NowNS()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring == nil {
+	if c.points == nil {
 		c.init()
 	}
-	w := &c.ring[c.pos%uint64(len(c.ring))]
-	w.seq = c.pos
-	w.startNS = c.windowStartNS
-	w.endNS = now
-	c.windowStartNS = now
-
+	c.pos++
+	p := c.point(c.pos)
+	p.ns = now
 	for i := range c.ops {
-		s := &c.ops[i]
-		s.h.SnapshotInto(&s.cur)
-		s.cur.DeltaSince(&s.prev, &w.ops[i])
-		s.prev = s.cur
+		c.ops[i].h.SnapshotInto(&p.ops[i])
 	}
 	for i := range c.stages {
-		s := &c.stages[i]
-		s.h.SnapshotInto(&s.cur)
-		s.cur.DeltaSince(&s.prev, &w.stages[i])
-		s.prev = s.cur
+		c.stages[i].h.SnapshotInto(&p.stages[i])
 	}
-	if c.e2e.h != nil {
-		c.e2e.h.SnapshotInto(&c.e2e.cur)
-		c.e2e.cur.DeltaSince(&c.e2e.prev, &w.e2e)
-		c.e2e.prev = c.e2e.cur
-	} else {
-		w.e2e = obs.HistogramSnapshot{}
+	if c.e2e != nil {
+		c.e2e.SnapshotInto(&p.e2e)
 	}
 	if c.sloTotal != nil {
-		t, b := c.sloTotal.Value(), c.sloBad.Value()
-		w.sloTotal = satSub(t, c.prevSLO[0])
-		w.sloBad = satSub(b, c.prevSLO[1])
-		c.prevSLO[0], c.prevSLO[1] = t, b
-	} else {
-		w.sloTotal, w.sloBad = 0, 0
+		p.sloTotal, p.sloBad = c.sloTotal.Value(), c.sloBad.Value()
 	}
-	for i := range w.shards {
-		cur := &c.shardScratch
-		*cur = ShardSample{}
+	for i := range p.shards {
+		p.shards[i] = ShardSample{}
 		if c.cfg.SampleShard != nil {
-			c.cfg.SampleShard(i, cur)
+			c.cfg.SampleShard(i, &p.shards[i])
 		}
-		prev := &c.prevShards[i]
-		sw := &w.shards[i]
-		sw.queueLen, sw.queueCap = cur.QueueLen, cur.QueueCap
-		sw.occupancy = 0
-		if cur.LogCap > 0 {
-			sw.occupancy = float64(cur.LogTail-cur.LogHead) / float64(cur.LogCap)
-			sw.wrap = float64(satSub(cur.LogTail, prev.LogTail)) / float64(cur.LogCap)
-		} else {
-			sw.wrap = 0
-		}
-		sw.requests = satSub(cur.Requests, prev.Requests)
-		sw.batches = satSub(cur.Batches, prev.Batches)
-		sw.saves = satSub(cur.Saves, prev.Saves)
-		sw.txns = satSub(cur.Txns, prev.Txns)
-		sw.logAppends = satSub(cur.LogAppends, prev.LogAppends)
-		sw.logTruncated = satSub(cur.LogTruncated, prev.LogTruncated)
-		sw.fwbScans = satSub(cur.FwbScans, prev.FwbScans)
-		sw.nvramBytes = satSub(cur.NVRAMWriteBytes, prev.NVRAMWriteBytes)
-		sw.payloadBytes = satSub(cur.PayloadBytes, prev.PayloadBytes)
-		sw.logUndoBytes = satSub(cur.LogUndoBytes, prev.LogUndoBytes)
-		sw.logRedoBytes = satSub(cur.LogRedoBytes, prev.LogRedoBytes)
-		sw.logHeaderBytes = satSub(cur.LogHeaderBytes, prev.LogHeaderBytes)
-		sw.logChecksumBytes = satSub(cur.LogChecksumBytes, prev.LogChecksumBytes)
-		sw.logBusBytes = satSub(cur.LogBusBytes, prev.LogBusBytes)
-		sw.dataBusBytes = satSub(cur.DataBusBytes, prev.DataBusBytes)
-		sw.updateAppends = satSub(cur.UpdateAppends, prev.UpdateAppends)
-		sw.coalescible = satSub(cur.CoalescibleAppends, prev.CoalescibleAppends)
-		sw.forcedWB = satSub(cur.ForcedWB, prev.ForcedWB)
-		sw.naturalWB = satSub(cur.NaturalWB(), prev.NaturalWB())
-		sw.wastedForcedWB = satSub(cur.WastedForcedWB, prev.WastedForcedWB)
-		sw.fwbFlagged = satSub(cur.FwbFlagged, prev.FwbFlagged)
-		sw.txnsMeasured = satSub(cur.TxnsMeasured, prev.TxnsMeasured)
-		sw.txnAmpMilliSum = satSub(cur.TxnAmpMilliSum, prev.TxnAmpMilliSum)
-		sw.tailAdvance = satSub(cur.LogTail, prev.LogTail)
-		sw.headAdvance = satSub(cur.LogHead, prev.LogHead)
-		sw.logHead, sw.logTail, sw.logCap = cur.LogHead, cur.LogTail, cur.LogCap
-		sw.liveRecords = cur.LiveRecords
-		*prev = *cur
 	}
 
 	c.exMu.Lock()
-	w.exemplars = c.ex
-	w.exN = c.exN
+	p.exemplars, p.exN = c.ex, c.exN
 	c.exN = 0
 	c.exFloor.Store(0)
 	c.exMu.Unlock()
-
-	c.pos++
 }
 
 // NoteFinished offers a finishing span to the tail-exemplar capture:
@@ -437,35 +336,63 @@ func (c *Collector) Windows() uint64 {
 }
 
 // ShardPressure reports shard i's most recent completed window: wrap
-// rate in log passes/sec, queue fill fraction, and log occupancy.
-// ok=false before the first completed window or for an unknown shard —
-// callers (the /healthz degraded gate) must treat that as healthy, not
-// degraded.
-func (c *Collector) ShardPressure(i int) (wrapPerSec, queueFrac, occupancy float64, ok bool) {
+// rate in log passes/sec and queue fill fraction. ok=false before the
+// first completed window or for an unknown shard — callers (the
+// /healthz degraded gate) must treat that as healthy, not degraded.
+func (c *Collector) ShardPressure(i int) (wrapPerSec, queueFrac float64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.pos == 0 || i < 0 || i >= c.cfg.Shards {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	w := &c.ring[(c.pos-1)%uint64(len(c.ring))]
-	sw := &w.shards[i]
-	secs := float64(w.endNS-w.startNS) / 1e9
-	if secs > 0 {
-		wrapPerSec = sw.wrap / secs
+	end, start := c.point(c.pos), c.point(c.pos-1)
+	s := &end.shards[i]
+	if secs := float64(end.ns-start.ns) / 1e9; secs > 0 {
+		wrapPerSec = wraps(s, satSub(s.LogTail, start.shards[i].LogTail)) / secs
 	}
-	if sw.queueCap > 0 {
-		queueFrac = float64(sw.queueLen) / float64(sw.queueCap)
+	if s.QueueCap > 0 {
+		queueFrac = float64(s.QueueLen) / float64(s.QueueCap)
 	}
-	return wrapPerSec, queueFrac, sw.occupancy, true
+	return wrapPerSec, queueFrac, true
 }
 
 // retained reports how many completed windows the ring still holds.
 func (c *Collector) retained() int {
-	n := c.pos
-	if cap := uint64(len(c.ring)); n > cap {
-		n = cap
+	return int(min(c.pos, uint64(c.cfg.Windows)))
+}
+
+// wraps converts a tail advance into log passes at end's capacity (0
+// for a shard without a log). One capacity serves a multi-window
+// advance because serving never resizes a log (log_grow is off).
+func wraps(end *ShardSample, tailAdvance uint64) float64 {
+	if end.LogCap == 0 {
+		return 0
 	}
-	return int(n)
+	return float64(tailAdvance) / float64(end.LogCap)
+}
+
+// sampleSince returns end − start for every uint64 field of a
+// ShardSample, the embedded scope.Snapshot included, saturating at zero
+// so a torn pair clamps to an empty window; int fields keep end's
+// value. Walking the struct means a counter added to scope.Ledger,
+// scope.Snapshot or ShardSample is windowed with no edit here. Gauges
+// difference too: read them from end, except LogHead and LogTail, whose
+// differences are the window's reclaim and append advances.
+func sampleSince(end, start *ShardSample) ShardSample {
+	d := *end
+	subFields(reflect.ValueOf(&d).Elem(), reflect.ValueOf(start).Elem())
+	return d
+}
+
+func subFields(d, start reflect.Value) {
+	for i := 0; i < d.NumField(); i++ {
+		switch f := d.Field(i); f.Kind() {
+		case reflect.Struct:
+			subFields(f, start.Field(i))
+		case reflect.Uint64:
+			f.SetUint(satSub(f.Uint(), start.Field(i).Uint()))
+		}
+	}
 }
 
 // satSub is a saturating uint64 subtraction: a torn concurrent sample

@@ -136,11 +136,14 @@ func TestPulseWindowedValues(t *testing.T) {
 		t.Fatalf("history wrap: %+v", d.History.WrapRatePerSec)
 	}
 
-	wrap, qf, occ, ok := c.ShardPressure(0)
-	if !ok || wrap != 0 || qf != 0.25 || occ != 0.5 {
-		t.Fatalf("shard pressure: wrap=%v queue=%v occ=%v ok=%v", wrap, qf, occ, ok)
+	if occ := d.Shards[0].LogOccupancy; occ != 0.5 {
+		t.Fatalf("aggregate occupancy is not the newest gauge: %v", occ)
 	}
-	if _, _, _, ok := c.ShardPressure(99); ok {
+	wrap, qf, ok := c.ShardPressure(0)
+	if !ok || wrap != 0 || qf != 0.25 {
+		t.Fatalf("shard pressure: wrap=%v queue=%v ok=%v", wrap, qf, ok)
+	}
+	if _, _, ok := c.ShardPressure(99); ok {
 		t.Fatal("unknown shard reported ok")
 	}
 }
@@ -149,7 +152,7 @@ func TestPulseBeforeFirstTick(t *testing.T) {
 	clk := &fakeClock{}
 	shards := &testShards{samples: make([]ShardSample, 1)}
 	c, _, _, _, _ := newTestCollector(clk, shards, obs.NewRegistry())
-	if _, _, _, ok := c.ShardPressure(0); ok {
+	if _, _, ok := c.ShardPressure(0); ok {
 		t.Fatal("pressure ok before first tick")
 	}
 	d := c.BuildDoc(4)
@@ -350,6 +353,62 @@ func TestPulseConcurrentWriters(t *testing.T) {
 	c2.Tick()
 	if d2 := c2.BuildDoc(1); d2.Ops[0].Count != writers*perWriter {
 		t.Fatalf("fresh collector lost completions: %d != %d", d2.Ops[0].Count, writers*perWriter)
+	}
+}
+
+// TestPulseRingWrapAggregate ticks past the ring's capacity and checks
+// that the aggregate over every retained window is exactly the sum of
+// the last Windows windows — nothing from an evicted window leaks in,
+// nothing retained is dropped — and that one window is the newest.
+func TestPulseRingWrapAggregate(t *testing.T) {
+	clk := &fakeClock{}
+	shards := &testShards{samples: make([]ShardSample, 1)}
+	c, opH, _, _, _ := newTestCollector(clk, shards, obs.NewRegistry())
+	const ticks = 20
+	windows := c.cfg.Windows
+	// Window w carries w op completions, 10w shard requests and 100w
+	// payload bytes, so every window's contribution is distinct.
+	for w := uint64(1); w <= ticks; w++ {
+		for i := uint64(0); i < w; i++ {
+			opH.Observe(w)
+		}
+		shards.mu.Lock()
+		shards.samples[0].Requests += 10 * w
+		shards.samples[0].PayloadBytes += 100 * w
+		shards.mu.Unlock()
+		clk.advance(1e9)
+		c.Tick()
+	}
+	var sum uint64 // op completions in windows ticks-windows+1 .. ticks
+	for w := uint64(ticks - windows + 1); w <= ticks; w++ {
+		sum += w
+	}
+	secs := float64(windows)
+	d := c.BuildDoc(windows)
+	if d.WindowsAggregated != windows || d.WindowsRetained != windows || d.Seq != ticks {
+		t.Fatalf("doc header: aggregated %d retained %d seq %d", d.WindowsAggregated, d.WindowsRetained, d.Seq)
+	}
+	if got := d.Ops[0].Count; got != sum {
+		t.Fatalf("aggregate op count %d, want %d", got, sum)
+	}
+	if got, want := d.Shards[0].ThroughputPerSec, float64(10*sum)/secs; got != want {
+		t.Fatalf("aggregate shard throughput %v, want %v", got, want)
+	}
+	if got, want := d.Scope.Shards[0].PayloadBytesPerSec, float64(100*sum)/secs; got != want {
+		t.Fatalf("aggregate payload rate %v, want %v", got, want)
+	}
+	for k, got := range d.History.ThroughputPerSec {
+		if want := float64(10 * (ticks - windows + 1 + k)); got != want {
+			t.Fatalf("history window %d throughput %v, want %v", k, got, want)
+		}
+	}
+	if over := c.BuildDoc(windows + 5); over.Ops[0].Count != sum {
+		t.Fatalf("over-long aggregate not clamped to the ring: %d", over.Ops[0].Count)
+	}
+
+	d = c.BuildDoc(1)
+	if d.Ops[0].Count != ticks || d.Shards[0].ThroughputPerSec != 10*ticks || d.Scope.Shards[0].PayloadBytesPerSec != 100*ticks {
+		t.Fatalf("newest window: ops %d throughput %v payload %v", d.Ops[0].Count, d.Shards[0].ThroughputPerSec, d.Scope.Shards[0].PayloadBytesPerSec)
 	}
 }
 

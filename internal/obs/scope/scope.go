@@ -182,10 +182,8 @@ type Snapshot struct {
 	FwbScans        uint64 // forced write-back scans completed
 	NVRAMWriteBytes uint64 // bytes written to simulated NVRAM
 
-	LogBusBytes  uint64 // all log-path bytes crossing the NVRAM bus
-	DataBusBytes uint64 // all data write-back bytes crossing the bus
-	FwbFlagged   uint64 // FLAG→FWB transitions in the scan FSM
-	LiveRecords  uint64 // gauge: records currently live in the log
+	FwbFlagged  uint64 // FLAG→FWB transitions in the scan FSM
+	LiveRecords uint64 // gauge: records currently live in the log
 }
 
 // Counters is one machine's persistence-domain ledger plus the sketches

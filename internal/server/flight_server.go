@@ -161,7 +161,7 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		if rep.Draining {
 			continue
 		}
-		if wrap, queueFrac, _, ok := s.pulse.ShardPressure(sh.id); ok {
+		if wrap, queueFrac, ok := s.pulse.ShardPressure(sh.id); ok {
 			if wrap > s.cfg.DegradedWrapRate {
 				rep.Status = "degraded"
 				rep.Reasons = append(rep.Reasons, fmt.Sprintf(

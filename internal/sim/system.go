@@ -124,7 +124,7 @@ func (s *System) LogState() (head, tail, capacity uint64) {
 
 // Snapshot fills out with the machine's published counter vocabulary:
 // the scope ledger, the log window, and the cheap cumulative counters
-// of the engine, controller, caches and NVRAM. A subset of Stats()
+// of the engine, caches and NVRAM. A subset of Stats()
 // chosen so it allocates nothing and touches no percentile math —
 // Stats() copies and sorts the latency window, far too heavy for the
 // per-batch publish inside the zero-alloc shard loop. Only meaningful
@@ -134,9 +134,6 @@ func (s *System) Snapshot(out *scope.Snapshot) {
 	out.LogHead, out.LogTail, out.LogCap = s.LogState()
 	out.Txns = s.committedTxns
 	out.NVRAMWriteBytes = s.nv.Stats().BytesWritten
-	cs := s.ctl.Stats()
-	out.LogBusBytes = cs.LogWriteBytes
-	out.DataBusBytes = cs.DataWriteBytes
 	out.FwbFlagged = s.hier.FwbFlaggedTotal()
 	switch {
 	case s.eng != nil:
