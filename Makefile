@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet pmlint pmlint-flow trace trace-test bench-baseline perf doctor chaos pulse scope ci
+.PHONY: all build test race lint fmt vet pmlint pmlint-flow trace trace-test bench-baseline perf doctor chaos pulse scope fuzz ci
 
 all: build test
 
@@ -109,4 +109,18 @@ scope:
 	$(GO) test ./internal/server -run 'TestScopeCoalescibleZipfVsUniform|TestScopeWrapForecastLive' -count=1
 	$(GO) test ./cmd/pmctl -run 'Scope|Residency|Render|Once' -count=1
 
-ci: build lint pmlint-flow test race trace-test bench-baseline perf doctor chaos pulse scope
+# fuzz runs every fuzzer for 10s: the log record decode, torn-bit scan
+# and metadata walk (plus booting from what the walk accepts), the image
+# file, the server manifest, the flight dump, and both wire decoders.
+FUZZERS = ./internal/nvlog:FuzzDecode ./internal/nvlog:FuzzScan \
+	./internal/nvlog:FuzzWalk ./internal/mem:FuzzReadPhysical \
+	./internal/server:FuzzParseManifest ./internal/flight:FuzzParseDump \
+	./internal/server:FuzzDecodeRequest ./internal/server:FuzzDecodeResponse
+
+fuzz:
+	@set -e; for f in $(FUZZERS); do \
+		echo "fuzz $$f"; \
+		$(GO) test $${f%%:*} -run '^$$' -fuzz "^$${f##*:}$$" -fuzztime 10s; \
+	done
+
+ci: build lint pmlint-flow test race trace-test bench-baseline perf doctor chaos pulse scope fuzz

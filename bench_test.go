@@ -183,7 +183,7 @@ func BenchmarkFig11bFwbFreq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sz := range Fig11bSizes() {
 			logCfg := nvlog.Config{Base: 0, SizeBytes: sz, Style: nvlog.UndoRedo}
-			last = core.DeriveScanInterval(logCfg, nv, 2)
+			last = core.DeriveScanInterval(logCfg, nv)
 		}
 	}
 	b.ReportMetric(float64(last), "cycles-at-16MB")

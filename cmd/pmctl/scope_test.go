@@ -47,10 +47,8 @@ func TestScopeSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// No /metrics scrape: the dump must render the scope gauges itself.
 	srv.Pulse().Tick()
-	if _, err := c.Metrics(); err != nil {
-		t.Fatal(err)
-	}
 
 	dumpPath := filepath.Join(dir, "flight-dump.json")
 	if err := srv.WriteFlightDump(dumpPath, "manual"); err != nil {

@@ -337,7 +337,7 @@ func Fig11b(logSizesBytes []uint64) *Table {
 	nv := DefaultConfig(FWB, 1).NVRAM
 	for _, sz := range logSizesBytes {
 		logCfg := nvlog.Config{Base: 0, SizeBytes: sz, Style: nvlog.UndoRedo}
-		interval := core.DeriveScanInterval(logCfg, nv, 2)
+		interval := core.DeriveScanInterval(logCfg, nv)
 		t.Add(int(sz>>10), interval)
 	}
 	return t
@@ -400,9 +400,4 @@ func Table3() *Table {
 	t.Add("btree", "B+ tree: search; insert if absent, remove if found")
 	t.Add("ssca2", "transactional SSCA 2.2 kernels over a scale-free graph")
 	return t
-}
-
-// UnsafeBaseRun re-exports the unsafe-base derivation for reporting.
-func UnsafeBaseRun(rs *RunSet, benchName string, threads int) (Run, bool) {
-	return rs.UnsafeBase(benchName, threads)
 }

@@ -155,16 +155,6 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// TotalLines returns the number of cache lines across all levels, sizing
-// the fwb tag-bit overhead of Table I.
-func (h *Hierarchy) TotalLines() int {
-	n := h.l2.NumLines()
-	for _, c := range h.l1 {
-		n += c.NumLines()
-	}
-	return n
-}
-
 // writeBack posts a dirty line to the backing and returns the write's
 // completion cycle. The caller leaves the line valid-clean, so it can later
 // be evicted silently and L2 will serve its own copy of the line; that

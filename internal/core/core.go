@@ -42,14 +42,8 @@ import (
 // Config describes the engine.
 type Config struct {
 	Log nvlog.Config
-	// MaxActiveTx is the number of physical transaction-ID registers
-	// (Section IV-B: an 8-bit ID, 256 active transactions).
-	MaxActiveTx int
 	// FwbScanInterval overrides the derived scan interval when nonzero.
 	FwbScanInterval uint64
-	// FwbSafetyFactor divides the log-fill time to get the scan interval
-	// (>=1; default 2 for the two-pass FLAG->FWB state machine).
-	FwbSafetyFactor float64
 	// Unsafe disables the truncation safety rule: a full log simply
 	// overwrites its oldest record. This models the paper's hw-rlog and
 	// hw-ulog baselines, which are "hardware logging with no persistence
@@ -61,29 +55,15 @@ type Config struct {
 	// GrowFactor scales the log region on log_grow (0 disables growing; an
 	// uncommitted transaction that fills the log then returns ErrLogWedged).
 	GrowFactor int
-	// Resume reopens the log(s) at the pointers recovery persisted in
-	// their NVRAM metadata (post-recovery reboot) instead of initializing
-	// fresh ones.
-	Resume bool
 	// NumLogs splits the log region into this many independent circular
 	// logs, records routed by thread ID — the distributed per-thread
 	// alternative of Section III-F. 0 or 1 means one centralized log.
 	NumLogs int
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if err := c.Log.Validate(); err != nil {
-		return err
-	}
-	if c.MaxActiveTx <= 0 || c.MaxActiveTx > 256 {
-		return fmt.Errorf("core: MaxActiveTx %d outside (0,256]", c.MaxActiveTx)
-	}
-	if c.FwbSafetyFactor < 0 {
-		return fmt.Errorf("core: FwbSafetyFactor must be >= 0")
-	}
-	return nil
-}
+// maxActiveTx is the number of physical transaction-ID registers
+// (Section IV-B: an 8-bit ID, 256 active transactions).
+const maxActiveTx = 256
 
 // LogBufferBound returns the largest persistence-safe log buffer size in
 // entries (Section IV-C): a buffered record takes ~one cycle per occupied
@@ -98,14 +78,12 @@ func LogBufferBound(l1Hit, l2Hit, queueCycles uint64) int {
 
 // DeriveScanInterval computes the FWB scan interval (in cycles) from the
 // log capacity and the NVRAM's sustained append bandwidth — the paper's
-// Section IV-D frequency law, reproduced as Figure 11(b).
-func DeriveScanInterval(logCfg nvlog.Config, nv nvram.Config, safety float64) uint64 {
-	if safety < 1 {
-		safety = 2
-	}
+// Section IV-D frequency law, reproduced as Figure 11(b). The log-fill
+// time is halved for the two-pass FLAG->FWB state machine.
+func DeriveScanInterval(logCfg nvlog.Config, nv nvram.Config) uint64 {
 	perEntry := nv.AvgAppendCyclesPerLine() * float64(logCfg.Style.EntrySize()) / float64(mem.LineSize)
 	fill := float64(logCfg.Capacity()) * perEntry
-	return uint64(fill / safety)
+	return uint64(fill / 2)
 }
 
 // ErrLogWedged is returned when an uncommitted transaction has filled the
@@ -313,17 +291,31 @@ func (e *Engine) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// New creates the engine, writing the log's initial metadata through the
-// controller at cycle 0.
-func New(cfg Config, ctl *memctl.Controller, hier *cache.Hierarchy) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+// Format returns log_create's metadata writes for an engine whose log
+// region is split into numLogs sub-logs: the image a fresh machine boots
+// from. log_create blocks until they are durable, before any transaction
+// exists, so the caller applies them to the image directly.
+func Format(log nvlog.Config, numLogs int) ([]nvlog.Write, error) {
+	subCfgs, err := splitLogRegion(log, numLogs)
+	if err != nil {
 		return nil, err
 	}
-	n := cfg.NumLogs
-	if n < 1 {
-		n = 1
+	var init []nvlog.Write
+	for _, sub := range subCfgs {
+		_, ws, err := nvlog.New(sub)
+		if err != nil {
+			return nil, err
+		}
+		init = append(init, ws...)
 	}
-	subCfgs, err := splitLogRegion(cfg.Log, n)
+	return init, nil
+}
+
+// New opens the engine over the log region(s) in the controller's NVRAM
+// image, at the pointers their durable metadata holds — log_create's
+// (Format) on a fresh machine, recovery's after a crash. It writes nothing.
+func New(cfg Config, ctl *memctl.Controller, hier *cache.Hierarchy) (*Engine, error) {
+	subCfgs, err := splitLogRegion(cfg.Log, cfg.NumLogs)
 	if err != nil {
 		return nil, err
 	}
@@ -333,54 +325,29 @@ func New(cfg Config, ctl *memctl.Controller, hier *cache.Hierarchy) (*Engine, er
 		committed: make(map[uint64]bool),
 		liveRecs:  make(map[uint64]uint64),
 	}
-	var init []nvlog.Write
 	for _, sub := range subCfgs {
-		var log *nvlog.Log
-		if cfg.Resume {
-			meta, err := nvlog.ReadMeta(ctl.NVRAM().Image(), sub.Base)
-			if err != nil {
-				return nil, fmt.Errorf("core: resume: %w", err)
-			}
-			log, err = nvlog.Resume(sub, meta.Head, meta.Tail)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var ws []nvlog.Write
-			log, ws, err = nvlog.New(sub)
-			if err != nil {
-				return nil, err
-			}
-			init = append(init, ws...)
+		log, err := nvlog.Open(ctl.NVRAM().Image(), sub)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		e.logs = append(e.logs, &logState{idx: len(e.logs), log: log, origBase: sub.Base})
-	}
-	for i := cfg.MaxActiveTx - 1; i >= 0; i-- {
-		e.freeIDs = append(e.freeIDs, uint8(i))
-	}
-	if cfg.Resume {
 		// Keep transaction handles monotone across reboots: every pre-crash
 		// transaction consumed at least one log sequence number, so the sum
-		// of resumed tails bounds all previously issued handles.
-		for _, ls := range e.logs {
-			e.nextHandle += ls.log.Tail()
-		}
+		// of the opened tails bounds all previously issued handles.
+		e.nextHandle += log.Tail()
+	}
+	for i := maxActiveTx - 1; i >= 0; i-- {
+		e.freeIDs = append(e.freeIDs, uint8(i))
 	}
 	if cfg.FwbScanInterval > 0 {
 		e.scanInterval = cfg.FwbScanInterval
 	} else {
 		// Distributed logs are smaller, so the scan must run more often
 		// (derived from one sub-log's capacity).
-		e.scanInterval = DeriveScanInterval(subCfgs[0], ctl.NVRAM().Config(), cfg.FwbSafetyFactor)
+		e.scanInterval = DeriveScanInterval(subCfgs[0], ctl.NVRAM().Config())
 	}
 	e.baseInterval = e.scanInterval
 	e.nextScan = e.scanInterval
-	// log_create blocks until the initial metadata is durable before the
-	// program starts, so it is applied directly (setup time, untracked).
-	for _, w := range init {
-		//pmlint:allow nobackdoor -- log_create: initial metadata is durable before any transaction exists
-		e.ctl.NVRAM().Image().Write(w.Addr, w.Bytes)
-	}
 	return e, nil
 }
 
@@ -402,9 +369,10 @@ func (e *Engine) SetTruncatedHook(fn func(handle uint64, ev TruncEvidence)) {
 }
 
 // splitLogRegion divides a log region into n equal sub-regions, each a
-// self-contained circular log with its own metadata line.
+// self-contained circular log with its own metadata line (n <= 1: the
+// region itself).
 func splitLogRegion(cfg nvlog.Config, n int) ([]nvlog.Config, error) {
-	if n == 1 {
+	if n <= 1 {
 		return []nvlog.Config{cfg}, nil
 	}
 	per := cfg.SizeBytes / uint64(n) &^ (mem.LineSize - 1)
@@ -649,7 +617,7 @@ func (e *Engine) grow(now uint64, ls *logState) (uint64, error) {
 	e.stats.Grows++
 	// A larger log allows a lower scan frequency (Section III-F).
 	if e.cfg.FwbScanInterval == 0 {
-		e.scanInterval = DeriveScanInterval(newCfg, e.ctl.NVRAM().Config(), e.cfg.FwbSafetyFactor)
+		e.scanInterval = DeriveScanInterval(newCfg, e.ctl.NVRAM().Config())
 		e.baseInterval = e.scanInterval
 	}
 	return done, nil

@@ -58,11 +58,16 @@ func newRig(t *testing.T, logEntries uint64, cfgMut func(*Config)) *rig {
 			SizeBytes: nvlog.MetaSize + logEntries*nvlog.FullEntrySize,
 			Style:     nvlog.UndoRedo,
 		},
-		MaxActiveTx:     256,
-		FwbSafetyFactor: 2,
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
+	}
+	init, err := Format(cfg.Log, cfg.NumLogs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range init {
+		nv.Image().Write(w.Addr, w.Bytes)
 	}
 	eng, err := New(cfg, ctl, hier)
 	if err != nil {
@@ -306,14 +311,14 @@ func TestDeriveScanInterval(t *testing.T) {
 	// cycles, matching the paper's "every three million cycles ... with a
 	// 4MB log" (Fig 11b).
 	logCfg := nvlog.Config{Base: nvBase, SizeBytes: nvlog.MetaSize + 4<<20, Style: nvlog.UndoRedo}
-	got := DeriveScanInterval(logCfg, nvCfg(), 2)
+	got := DeriveScanInterval(logCfg, nvCfg())
 	if got < 3_000_000 || got > 4_000_000 {
 		t.Errorf("scan interval for 4MB log = %d, want ~3.6M cycles", got)
 	}
 	// Interval scales linearly with log size.
 	logCfg2 := logCfg
 	logCfg2.SizeBytes = nvlog.MetaSize + 8<<20
-	if got2 := DeriveScanInterval(logCfg2, nvCfg(), 2); got2 < 2*got-100 || got2 > 2*got+100 {
+	if got2 := DeriveScanInterval(logCfg2, nvCfg()); got2 < 2*got-100 || got2 > 2*got+100 {
 		t.Errorf("interval did not scale: %d vs %d", got2, got)
 	}
 }

@@ -469,11 +469,6 @@ func (c *Controller) DrainBuffers(now uint64) uint64 {
 	return now
 }
 
-// LogDrainDone returns the completion high-water mark of every log/WCB
-// drain issued so far — what an mfence between a software log update and
-// its data store waits on.
-func (c *Controller) LogDrainDone() uint64 { return c.maxDrainDone }
-
 // InFlightLine reports whether any NVRAM write touching addr's line is
 // still in flight (applied to the image but completing after now). The
 // hardware logging engine consults this before truncating log records: a

@@ -65,7 +65,9 @@ func FuzzScan(f *testing.F) {
 
 // FuzzWalk: arbitrary metadata blocks and record bytes, walked from the
 // image's own base and from an arbitrary one, must never panic; what the
-// walk accepts lies wholly inside the image.
+// walk accepts lies wholly inside the image, and a machine booting from it
+// (Open over the region's own config, as a reboot does, then one append)
+// writes only inside the region.
 func FuzzWalk(f *testing.F) {
 	const base = mem.Addr(0x1000)
 	l, ws, err := New(Config{Base: base, SizeBytes: MetaSize + 16*FullEntrySize, Style: UndoRedo})
@@ -96,6 +98,20 @@ func FuzzWalk(f *testing.F) {
 			}
 			if uint64(len(r.Entries)) != r.TrueTail-r.Meta.Head {
 				t.Fatalf("entry count %d != window %d", len(r.Entries), r.TrueTail-r.Meta.Head)
+			}
+			cfg := r.Config()
+			l, err := Open(img, cfg)
+			if err != nil {
+				continue // a region no boot would open
+			}
+			ws, err := l.PrepareAppend(Entry{Kind: KindUpdate, TxID: 9, Addr: 0x8000, Undo: 3, Redo: 4})
+			if err != nil {
+				continue // full: the engine truncates or grows first
+			}
+			for _, w := range ws {
+				if w.Addr < cfg.Base || uint64(w.Addr-cfg.Base)+uint64(len(w.Bytes)) > cfg.SizeBytes {
+					t.Fatalf("append wrote %d bytes at %v outside region %v+%d", len(w.Bytes), w.Addr, cfg.Base, cfg.SizeBytes)
+				}
 			}
 		}
 	})

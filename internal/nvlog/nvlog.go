@@ -363,40 +363,46 @@ type TraceFn func(k TraceKind, arg uint64, e *Entry)
 func (l *Log) SetTrace(fn TraceFn) { l.trace = fn }
 
 // New creates an empty log over the region described by cfg. The returned
-// Write persists the initial metadata block.
+// Write persists the initial metadata block (log_create).
 func New(cfg Config) (*Log, []Write, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if cfg.MetaEvery == 0 {
-		cfg.MetaEvery = cfg.Capacity() / 4
-		if cfg.MetaEvery == 0 {
-			cfg.MetaEvery = 1
-		}
-	}
-	l := &Log{cfg: cfg}
+	l := newLog(cfg, 0, 0)
 	return l, []Write{l.metaWrite()}, nil
 }
 
-// Resume reopens a log at the pointer positions recovery left in the
-// durable metadata (post-reboot the sequence position must continue so
-// torn-bit parity stays unambiguous). No metadata write is needed — the
-// recovered metadata is already durable.
-func Resume(cfg Config, head, tail uint64) (*Log, error) {
+// Open reopens the log whose durable metadata sits at cfg.Base — freshly
+// written by New's log_create, or left by recovery at the pointers it
+// persisted (the sequence position must continue so torn-bit parity stays
+// unambiguous). It writes nothing: the metadata is already durable.
+func Open(img *mem.Physical, cfg Config) (*Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if head > tail || tail-head > cfg.Capacity() {
-		return nil, fmt.Errorf("nvlog: resume pointers head=%d tail=%d invalid for capacity %d",
-			head, tail, cfg.Capacity())
+	meta, err := ReadMeta(img, cfg.Base)
+	if err != nil {
+		return nil, err
 	}
+	if meta.Capacity != cfg.Capacity() || meta.Style != cfg.Style || meta.LineAligned != cfg.LineAligned {
+		return nil, fmt.Errorf("nvlog: metadata at %v does not describe the configured log", cfg.Base)
+	}
+	if meta.Head > meta.Tail || meta.Tail-meta.Head > meta.Capacity {
+		return nil, fmt.Errorf("nvlog: pointers head=%d tail=%d invalid for capacity %d",
+			meta.Head, meta.Tail, meta.Capacity)
+	}
+	return newLog(cfg, meta.Head, meta.Tail), nil
+}
+
+// newLog is the constructor New and Open share.
+func newLog(cfg Config, head, tail uint64) *Log {
 	if cfg.MetaEvery == 0 {
 		cfg.MetaEvery = cfg.Capacity() / 4
 		if cfg.MetaEvery == 0 {
 			cfg.MetaEvery = 1
 		}
 	}
-	return &Log{cfg: cfg, head: head, tail: tail, headDurable: head}, nil
+	return &Log{cfg: cfg, head: head, tail: tail, headDurable: head}
 }
 
 // Config returns the log configuration.
@@ -698,6 +704,12 @@ type Region struct {
 	// Entries and TrueTail are Scan's result over Base (Walk only).
 	Entries  []Entry
 	TrueTail uint64
+}
+
+// Config describes r's live region as its metadata records it.
+func (r Region) Config() Config {
+	return Config{Base: r.Base, SizeBytes: MetaSize + r.Meta.Capacity*r.Meta.SlotSize(),
+		Style: r.Meta.Style, LineAligned: r.Meta.LineAligned}
 }
 
 // Resolve reads the metadata at base and, when log_grow migrated the

@@ -381,3 +381,51 @@ func TestQuickFIFOSemantics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOpenReadsTheDurablePointers: Open continues a log at the pointers
+// its metadata holds and refuses metadata that does not describe the
+// configured region or whose pointers no log could have written.
+func TestOpenReadsTheDurablePointers(t *testing.T) {
+	cfg := testCfg(UndoRedo, 8)
+	img := mem.NewPhysical(0, 1<<20)
+	l, init, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(img, init)
+	for i := 0; i < 11; i++ { // wraps: the reopened log must keep pass parity
+		if l.Len() == l.Capacity() {
+			apply(img, must(l.Truncate(4)))
+		}
+		apply(img, must(l.PrepareAppend(Entry{Kind: KindUpdate, TxID: uint16(i), Addr: 0x40})))
+	}
+	apply(img, []Write{l.metaWrite()})
+	r, err := Open(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Head() != l.Head() || r.Tail() != l.Tail() {
+		t.Fatalf("opened at head=%d tail=%d, want %d/%d", r.Head(), r.Tail(), l.Head(), l.Tail())
+	}
+
+	for name, bad := range map[string]Config{
+		"capacity":     testCfg(UndoRedo, 16),
+		"line-aligned": {Base: cfg.Base, SizeBytes: MetaSize + 8*mem.LineSize, Style: UndoRedo, LineAligned: true},
+		"style":        testCfg(RedoOnly, 8),
+	} {
+		if _, err := Open(img, bad); err == nil {
+			t.Errorf("%s mismatch: Open accepted the image", name)
+		}
+	}
+	img.WriteWord(cfg.Base+8, mem.Word(l.Tail()+1)) // head past tail
+	if _, err := Open(img, cfg); err == nil {
+		t.Error("Open accepted head > tail")
+	}
+}
+
+func must(ws []Write, err error) []Write {
+	if err != nil {
+		panic(err)
+	}
+	return ws
+}

@@ -50,14 +50,10 @@ func (s *Server) buildDump(reason string) *flight.Dump {
 		Chaos:        s.cfg.Chaos.Ledger(),
 	}
 	d.RingNames, d.RingStats = s.traceRings()
-	// The machine gauges come from the published views, so the dump
-	// carries them without waiting on a shard that may be wedged or
-	// mid-panic. Setting them takes the registry mutex, the one
-	// WritePrometheus below takes anyway; it guards map lookups only and
-	// is never held across a shard call.
-	s.viewGauges()
+	// The same document /metrics serves, rendered without waiting on a
+	// shard that may be wedged or mid-panic (see writeMetrics).
 	var buf bytes.Buffer
-	if err := s.reg.WritePrometheus(&buf); err == nil {
+	if err := s.writeMetrics(&buf); err == nil {
 		d.Metrics = buf.String()
 	}
 	// Each shard machine's events (tx begin/commit, log appends,

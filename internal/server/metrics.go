@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -66,12 +67,14 @@ func (s *Server) traceRings() (names []string, rings []obs.RingStat) {
 	return names, rings
 }
 
-// metricsResponse renders the Prometheus text-format document answered
-// to OpMetrics: gauges set at render time (machine counters, tracer and
-// span accounting, the latest pulse window) beside the request-path
-// counters and latency histograms, which are live registry handles
-// updated on the request path.
-func (s *Server) metricsResponse() Response {
+// writeMetrics renders the one Prometheus text-format document the
+// OpMetrics reply, HTTP /metrics and a flight dump all carry: gauges set
+// at render time (machine counters, tracer and span accounting, the
+// latest pulse window) beside the request-path counters and latency
+// histograms, which are live registry handles updated on the request
+// path. None of it waits on a shard loop, so a dump of a wedged or
+// panicking shard renders it too.
+func (s *Server) writeMetrics(w io.Writer) error {
 	s.viewGauges()
 	set := s.setGauge
 	names, rings := s.traceRings()
@@ -87,8 +90,13 @@ func (s *Server) metricsResponse() Response {
 		s.pulseGauges(d)
 		s.scopeGauges(d)
 	}
+	return s.reg.WritePrometheus(w)
+}
+
+// metricsResponse answers OpMetrics with writeMetrics' document.
+func (s *Server) metricsResponse() Response {
 	var buf bytes.Buffer
-	if err := s.reg.WritePrometheus(&buf); err != nil {
+	if err := s.writeMetrics(&buf); err != nil {
 		return Response{Status: StatusErr, Err: err.Error()}
 	}
 	return Response{Status: StatusOK, Val: buf.Bytes()}

@@ -129,13 +129,8 @@ func (s *Server) pulseJSON(w http.ResponseWriter, r *http.Request) {
 // metricsHTTP serves the same Prometheus document as the OpMetrics wire
 // op on the HTTP listener, for scrapers that speak HTTP only.
 func (s *Server) metricsHTTP(w http.ResponseWriter, _ *http.Request) {
-	resp := s.metricsResponse()
-	if resp.Status != StatusOK {
-		http.Error(w, resp.Err, http.StatusServiceUnavailable)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.Write(resp.Val)
+	s.writeMetrics(w)
 }
 
 // pulseGauges publishes the latest completed window as pmserver_pulse_*

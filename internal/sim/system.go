@@ -255,12 +255,14 @@ func (s *System) swLogTrace(k nvlog.TraceKind, arg uint64, ent *nvlog.Entry) {
 	}
 }
 
-// New builds the machine.
+// New builds the machine: it formats the log region into a blank NVRAM
+// image (the paper's log_create) and boots from that image through
+// assemble, the path Reboot and Attach take.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, spec: cfg.Mode.Spec(), swActive: make(map[int]uint64)}
+	s := &System{cfg: cfg, spec: cfg.Mode.Spec(), scope: &scope.Counters{}}
 	if cfg.TxnLatencySampleCap > 0 {
 		// Preallocate the sliding window so the commit path never grows it
 		// (keeping steady-state commits allocation free from the first op).
@@ -274,79 +276,54 @@ func New(cfg Config) (*System, error) {
 	if s.dr, err = dram.New(cfg.DRAM, 0, cfg.DRAMBytes); err != nil {
 		return nil, err
 	}
-	if s.ctl, err = memctl.New(cfg.Memctl, s.nv, s.dr); err != nil {
+	s.growNext = cfg.NVRAMBase + mem.Addr(cfg.LogBytes)
+	heapBase := s.growNext + mem.Addr(cfg.GrowReserveBytes)
+	if s.heap, err = pheap.New(heapBase, cfg.NVRAMBytes-cfg.LogBytes-cfg.GrowReserveBytes); err != nil {
 		return nil, err
-	}
-	if s.hier, err = cache.NewHierarchy(cfg.Caches, s.ctl); err != nil {
-		return nil, err
-	}
-
-	logBase := cfg.NVRAMBase
-	growBase := logBase + mem.Addr(cfg.LogBytes)
-	heapBase := growBase + mem.Addr(cfg.GrowReserveBytes)
-	heapSize := cfg.NVRAMBytes - cfg.LogBytes - cfg.GrowReserveBytes
-	s.growNext = growBase
-	if s.heap, err = pheap.New(heapBase, heapSize); err != nil {
-		return nil, err
-	}
-
-	logCfg := nvlog.Config{Base: logBase, SizeBytes: cfg.LogBytes}
-	numLogs := 1
-	if cfg.PerThreadLogs {
-		numLogs = cfg.Threads
-	}
-	switch {
-	case s.spec.HWLog:
-		logCfg.Style = s.spec.HWStyle
-		s.eng, err = core.New(core.Config{
-			Log:             logCfg,
-			MaxActiveTx:     256,
-			FwbScanInterval: cfg.FwbScanInterval,
-			FwbSafetyFactor: 2,
-			Unsafe:          s.spec.UnsafeHW,
-			DisableFWB:      !s.spec.UseFWB,
-			GrowFactor:      cfg.GrowFactor,
-			NumLogs:         numLogs,
-		}, s.ctl, s.hier)
-		if err != nil {
-			return nil, err
-		}
-		s.eng.SetGrowRegion(s.allocGrowRegion)
-		s.eng.SetTruncatedHook(s.onEngineTruncated)
-	case s.spec.SWLog:
-		logCfg.Style = s.spec.SWStyle
-		// Software logs pad records to cache lines (avoiding partial-line
-		// writes and false sharing); the hardware log buffer packs two
-		// 32 B records per line instead.
-		logCfg.LineAligned = true
-		var init []nvlog.Write
-		if s.swLog, init, err = nvlog.New(logCfg); err != nil {
-			return nil, err
-		}
-		// log_create blocks until the initial metadata is durable before
-		// the program starts (setup time, untracked).
-		for _, w := range init {
-			s.nv.Image().Write(w.Addr, w.Bytes)
-		}
-	}
-
-	for i := 0; i < cfg.Threads; i++ {
-		c, err := cpu.New(cfg.CPU)
-		if err != nil {
-			return nil, err
-		}
-		s.cores = append(s.cores, c)
-		s.threads = append(s.threads, newThreadCtx(s, i, c))
 	}
 	if cfg.TrackOracle {
 		s.oracle = newOracle()
 		s.population = make(map[mem.Addr]mem.Word)
 		s.oracleByHandle = make(map[uint64]*txRecord)
 	}
-	s.scope = &scope.Counters{}
-	s.wireScope()
-	s.wireChaos()
+
+	// log_create blocks until the initial metadata is durable before the
+	// program starts, so its writes go straight to the image (setup time,
+	// untracked).
+	logCfg, numLogs := s.logConfig()
+	var init []nvlog.Write
+	switch {
+	case s.spec.HWLog:
+		init, err = core.Format(logCfg, numLogs)
+	case s.spec.SWLog:
+		_, init, err = nvlog.New(logCfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range init {
+		s.nv.Image().Write(w.Addr, w.Bytes)
+	}
+	if err := s.assemble(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// logConfig describes the log region log_create formats, and the number
+// of per-thread sub-logs the hardware engine splits it into.
+func (s *System) logConfig() (nvlog.Config, int) {
+	c := nvlog.Config{Base: s.cfg.NVRAMBase, SizeBytes: s.cfg.LogBytes, Style: s.spec.HWStyle}
+	if s.spec.SWLog {
+		// Software logs pad records to cache lines (avoiding partial-line
+		// writes and false sharing); the hardware log buffer packs two
+		// 32 B records per line instead.
+		c.Style, c.LineAligned = s.spec.SWStyle, true
+	}
+	if s.cfg.PerThreadLogs {
+		return c, s.cfg.Threads
+	}
+	return c, 1
 }
 
 // onEngineTruncated records hardware truncation evidence in the oracle.
@@ -393,18 +370,7 @@ func (s *System) LogBases() []mem.Addr {
 	if s.eng != nil {
 		return s.eng.LogBases()
 	}
-	return []mem.Addr{s.LogBase()}
-}
-
-// LogBase returns the circular log's base address.
-func (s *System) LogBase() mem.Addr {
-	if s.eng != nil {
-		return s.eng.Log().Config().Base
-	}
-	if s.swLog != nil {
-		return s.swLog.Config().Base
-	}
-	return s.cfg.NVRAMBase
+	return []mem.Addr{s.cfg.NVRAMBase}
 }
 
 // SetBenchName labels the stats produced by this system.
@@ -488,7 +454,7 @@ func (s *System) Reboot() error {
 	if !s.crashed {
 		return errors.New("sim: Reboot without a crash")
 	}
-	return s.rebuild()
+	return s.assemble()
 }
 
 // Attach re-attaches a persisted NVRAM image to this (freshly built,
@@ -514,15 +480,18 @@ func (s *System) Attach(r io.Reader) (recovery.Report, error) {
 			return rep, errors.New("sim: Attach of a grown-log image is unsupported")
 		}
 	}
-	if err := s.rebuild(); err != nil {
+	if err := s.assemble(); err != nil {
 		return rep, err
 	}
 	return rep, nil
 }
 
-// rebuild reconstructs every volatile component over the current NVRAM
-// image (shared by Reboot and Attach).
-func (s *System) rebuild() error {
+// assemble builds every volatile component — memory controller, caches,
+// logging engine or software log, cores — over the NVRAM image, opening
+// each log at the pointers its durable metadata holds. Every boot takes
+// this path: New over a freshly formatted image, Reboot and Attach over a
+// recovered one.
+func (s *System) assemble() error {
 	var err error
 	if s.ctl, err = memctl.New(s.cfg.Memctl, s.nv, s.dr); err != nil {
 		return err
@@ -530,44 +499,31 @@ func (s *System) rebuild() error {
 	if s.hier, err = cache.NewHierarchy(s.cfg.Caches, s.ctl); err != nil {
 		return err
 	}
-	// Reopen the log where it DURABLY lives. The engine's volatile config
-	// is not evidence: a log_grow whose new-region metadata writes were
-	// still in flight at the crash moved the volatile base without ever
-	// becoming durable, and recovery correctly stayed on the old region.
-	// Chase the same forward chain recovery follows — from the original
-	// base through completed grows only — and resume whatever region it
-	// ends at.
-	logCfg := nvlog.Config{Base: s.LogBase(), SizeBytes: s.cfg.LogBytes}
-	numLogs := 1
-	if s.cfg.PerThreadLogs {
-		numLogs = s.cfg.Threads
-	} else if s.eng != nil {
-		live, err := nvlog.Resolve(s.nv.Image(), s.eng.LogBases()[0])
-		if err != nil {
-			return fmt.Errorf("sim: reboot: %w", err)
-		}
-		logCfg = s.eng.Log().Config()
-		logCfg.Base = live.Base
-		logCfg.SizeBytes = nvlog.MetaSize + live.Meta.Capacity*live.Meta.SlotSize()
-		logCfg.Style = live.Meta.Style
-		logCfg.LineAligned = live.Meta.LineAligned
-	} else if s.swLog != nil {
-		logCfg = s.swLog.Config()
-	}
-	logCfg.MetaEvery = 0
+	logCfg, numLogs := s.logConfig()
 	switch {
 	case s.spec.HWLog:
-		logCfg.Style = s.spec.HWStyle
+		if numLogs == 1 {
+			// Open the log where it DURABLY lives. Volatile config is not
+			// evidence: a log_grow whose new-region metadata writes were
+			// still in flight at the crash moved the volatile base without
+			// ever becoming durable, and recovery correctly stayed on the
+			// old region. Chase the same forward chain recovery follows —
+			// from the original base through completed grows only.
+			live, err := nvlog.Resolve(s.nv.Image(), logCfg.Base)
+			if err != nil {
+				return fmt.Errorf("sim: boot: %w", err)
+			}
+			if live.Hops > 0 {
+				logCfg = live.Config()
+			}
+		}
 		s.eng, err = core.New(core.Config{
 			Log:             logCfg,
-			MaxActiveTx:     256,
 			FwbScanInterval: s.cfg.FwbScanInterval,
-			FwbSafetyFactor: 2,
 			Unsafe:          s.spec.UnsafeHW,
 			DisableFWB:      !s.spec.UseFWB,
 			GrowFactor:      s.cfg.GrowFactor,
 			NumLogs:         numLogs,
-			Resume:          true,
 		}, s.ctl, s.hier)
 		if err != nil {
 			return err
@@ -575,14 +531,8 @@ func (s *System) rebuild() error {
 		s.eng.SetGrowRegion(s.allocGrowRegion)
 		s.eng.SetTruncatedHook(s.onEngineTruncated)
 	case s.spec.SWLog:
-		logCfg.Style = s.spec.SWStyle
-		logCfg.LineAligned = true
-		meta, err := nvlog.ReadMeta(s.nv.Image(), logCfg.Base)
-		if err != nil {
-			return fmt.Errorf("sim: reboot: %w", err)
-		}
-		if s.swLog, err = nvlog.Resume(logCfg, meta.Head, meta.Tail); err != nil {
-			return err
+		if s.swLog, err = nvlog.Open(s.nv.Image(), logCfg); err != nil {
+			return fmt.Errorf("sim: boot: %w", err)
 		}
 	}
 

@@ -35,7 +35,7 @@ func Lifetime(cfg Config, endurance uint64) LifetimeReport {
 		EntryRewriteNS:    rewriteNS,
 		Endurance:         endurance,
 		DaysToWearOut:     days,
-		ScanIntervalCycle: core.DeriveScanInterval(logCfg, cfg.NVRAM, 2),
+		ScanIntervalCycle: core.DeriveScanInterval(logCfg, cfg.NVRAM),
 	}
 }
 

@@ -74,7 +74,7 @@ func TestLogRegionWearIsUniform(t *testing.T) {
 	// under one full pass, so no line should be written many times more
 	// than its neighbours (metadata line aside, which is rewritten on
 	// every sync).
-	metaWear := nv.WearOf(sys.LogBase())
+	metaWear := nv.WearOf(sys.LogBases()[0])
 	if max > metaWear && max > 8 {
 		t.Errorf("hot log cell: max wear %d (meta %d)", max, metaWear)
 	}
