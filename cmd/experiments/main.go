@@ -44,7 +44,6 @@ func main() {
 		threads = flag.String("threads", "1,2,4,8", "thread counts for the micro grid")
 		verbose = flag.Bool("v", false, "progress output")
 		csv     = flag.Bool("csv", false, "CSV output")
-		chart   = flag.Bool("chart", false, "append an ASCII bar chart of the fwb column to each figure")
 		jsonOut = flag.Bool("json", false, "write the micro grid's raw runs to BENCH_micro.json")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -67,7 +66,7 @@ func main() {
 		p.Values = bench.StrValues
 	}
 	threadCounts := parseThreads(*threads)
-	modes := pmemlog.FigureModes()
+	modes := pmemlog.AllModes()
 
 	var progress func(string, pmemlog.Mode, int)
 	if *verbose {
@@ -83,12 +82,6 @@ func main() {
 			fmt.Println(t.CSV())
 		} else {
 			fmt.Println(t)
-		}
-		if *chart {
-			// The fwb column is the last one in the figure tables.
-			if out := t.ChartColumn(len(t.Header)-1, 1.0, 50); out != "" {
-				fmt.Println(out)
-			}
 		}
 	}
 

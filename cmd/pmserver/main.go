@@ -24,7 +24,7 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
 		dir    = flag.String("dir", "pmserver-data", "data directory for shard DIMM images")
 		shards = flag.Int("shards", 4, "worker shards (fixed at first boot; later runs adopt the manifest)")
-		mode   = flag.String("mode", "fwb", "logging design (fwb, hw-ulog, hw-rlog, ...)")
+		mode   = flag.String("mode", "fwb", "logging design, one of "+fmt.Sprint(txn.AllModes()))
 		queue  = flag.Int("queue", 256, "per-shard queue depth before backpressure")
 		batch  = flag.Int("batch", 32, "max requests per shard batch")
 		nvram  = flag.Uint64("nvram-mb", 8, "per-shard NVRAM size in MiB")

@@ -197,11 +197,9 @@ func MicroBenchNames() []string { return bench.Names() }
 // WhisperNames lists the WHISPER kernels.
 func WhisperNames() []string { return whisper.Names() }
 
-// FigureModes is the set of designs plotted in Figures 6-9 (unsafe-base is
-// derived from sw-ulog/sw-rlog at reporting time).
-func FigureModes() []Mode {
-	return []Mode{NonPers, SWUndo, SWRedo, SWUndoClwb, SWRedoClwb, HWUndo, HWRedo, HWL, FWB}
-}
+// FigureModes is the set of designs plotted in Figures 6-9: every design
+// (unsafe-base is derived from sw-ulog/sw-rlog at reporting time).
+func FigureModes() []Mode { return AllModes() }
 
 // RunMicroGrid runs every (bench, mode, threads) combination and indexes
 // the results. progress (optional) is called before each cell.

@@ -44,10 +44,10 @@ type Config struct {
 	Log nvlog.Config
 	// FwbScanInterval overrides the derived scan interval when nonzero.
 	FwbScanInterval uint64
-	// Unsafe disables the truncation safety rule: a full log simply
-	// overwrites its oldest record. This models the paper's hw-rlog and
-	// hw-ulog baselines, which are "hardware logging with no persistence
-	// guarantee".
+	// Unsafe models "hardware logging with no persistence guarantee" (the
+	// hw-unsafe bound): a full log overwrites its oldest record without the
+	// truncation safety rule, and no durable head is kept, so no head
+	// metadata is written or synced before a slot is reused.
 	Unsafe bool
 	// DisableFWB turns the background scanner off (the hwl configuration,
 	// which relies on clwb at commit instead).
@@ -457,16 +457,21 @@ func (e *Engine) append(now uint64, ls *logState, entry nvlog.Entry, meta recMet
 			base := ls.log.Config().Base
 			var total uint64
 			for i, w := range writes {
-				total += uint64(len(w.Bytes))
-				if d := e.ctl.AppendLog(now, w.Addr, w.Bytes); d > done {
-					done = d
-				}
 				// A head-metadata write emitted BEFORE the record (the
 				// sync-before-reuse rule) must COMPLETE before the record
 				// is issued; otherwise a crash could leave the record
 				// durable in a reused slot while the durable head still
-				// trusts that slot's old sequence number.
-				if w.Addr == base && i < len(writes)-1 {
+				// trusts that slot's old sequence number. An unsafe log
+				// keeps no durable head, so it writes none.
+				headSync := w.Addr == base && i < len(writes)-1
+				if headSync && e.cfg.Unsafe {
+					continue
+				}
+				total += uint64(len(w.Bytes))
+				if d := e.ctl.AppendLog(now, w.Addr, w.Bytes); d > done {
+					done = d
+				}
+				if headSync {
 					if d := e.ctl.DrainBuffers(now); d > now {
 						now = d
 						done = d

@@ -245,7 +245,11 @@ func TestLogWedgedWithoutGrow(t *testing.T) {
 }
 
 func TestUnsafeModeOverwritesWithoutStalling(t *testing.T) {
-	r := newRig(t, 8, func(c *Config) { c.Unsafe = true })
+	// No periodic tail sync, so every log byte is a record or a head sync.
+	r := newRig(t, 8, func(c *Config) {
+		c.Unsafe = true
+		c.Log.MetaEvery = 1 << 20
+	})
 	tx, _ := r.eng.Begin(0, 0)
 	now := uint64(0)
 	for i := 0; i < 30; i++ {
@@ -261,6 +265,15 @@ func TestUnsafeModeOverwritesWithoutStalling(t *testing.T) {
 	}
 	if r.eng.Stats().EmergencyFlush != 0 || r.eng.Stats().Grows != 0 {
 		t.Error("unsafe mode used safe slow paths")
+	}
+	// The unsafe log keeps no durable head: wrapping writes its records'
+	// bytes and no sync-before-reuse metadata line.
+	recs := r.eng.Stats().Records
+	if recs <= r.eng.Log().Capacity() {
+		t.Fatalf("%d records never wrapped a %d-slot log", recs, r.eng.Log().Capacity())
+	}
+	if got, want := r.ctl.Stats().LogWriteBytes, recs*nvlog.FullEntrySize; got != want {
+		t.Errorf("log write bytes = %d, want %d (records only)", got, want)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmemlog/internal/mem"
+	"pmemlog/internal/txn"
 )
 
 // FuzzDecodeRequest: arbitrary bytes must never panic, and anything that
@@ -135,7 +137,8 @@ var hostileManifests = map[string]string{
 	"non-pers mode":      `{"version":1,"shards":2,"mode":"non-pers","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
 	"negative shards":    `{"version":1,"shards":-3,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
 	"shards over cap":    `{"version":1,"shards":1048576,"mode":"fwb","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
-	"unsafe hw mode":     `{"version":1,"shards":2,"mode":"hw-ulog","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"hw-unsafe mode":     `{"version":1,"shards":2,"mode":"hw-unsafe","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
+	"retired mode name":  `{"version":1,"shards":2,"mode":"hw-rlog","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
 	"unknown mode":       `{"version":1,"shards":2,"mode":"nope","buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
 	"numeric mode":       `{"version":1,"shards":2,"mode":8,"buckets":128,"nvram_bytes":2097152,"log_bytes":65536}`,
 	"zero buckets":       `{"version":1,"shards":2,"mode":"fwb","buckets":0,"nvram_bytes":2097152,"log_bytes":65536}`,
@@ -159,6 +162,25 @@ func TestStartRejectsHostileManifest(t *testing.T) {
 			srv.Kill()
 			t.Errorf("%s: Start adopted the manifest", name)
 		}
+	}
+}
+
+// TestStartRejectsRetiredModeName: the hw-ulog and hw-rlog designs became
+// hw-unsafe with no alias, so a manifest naming one fails at boot with the
+// mode parser's own error.
+func TestStartRejectsRetiredModeName(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(hostileManifests["retired mode name"]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := txn.ParseMode("hw-rlog")
+	srv, err := Start(testConfig(dir))
+	if err == nil {
+		srv.Kill()
+		t.Fatal("Start adopted a manifest naming hw-rlog")
+	}
+	if want == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Start error %q does not carry the ParseMode error %v", err, want)
 	}
 }
 

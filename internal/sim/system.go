@@ -313,7 +313,7 @@ func New(cfg Config) (*System, error) {
 // logConfig describes the log region log_create formats, and the number
 // of per-thread sub-logs the hardware engine splits it into.
 func (s *System) logConfig() (nvlog.Config, int) {
-	c := nvlog.Config{Base: s.cfg.NVRAMBase, SizeBytes: s.cfg.LogBytes, Style: s.spec.HWStyle}
+	c := nvlog.Config{Base: s.cfg.NVRAMBase, SizeBytes: s.cfg.LogBytes, Style: nvlog.UndoRedo}
 	if s.spec.SWLog {
 		// Software logs pad records to cache lines (avoiding partial-line
 		// writes and false sharing); the hardware log buffer packs two
@@ -520,7 +520,7 @@ func (s *System) assemble() error {
 		s.eng, err = core.New(core.Config{
 			Log:             logCfg,
 			FwbScanInterval: s.cfg.FwbScanInterval,
-			Unsafe:          s.spec.UnsafeHW,
+			Unsafe:          !s.spec.Persistent,
 			DisableFWB:      !s.spec.UseFWB,
 			GrowFactor:      s.cfg.GrowFactor,
 			NumLogs:         numLogs,

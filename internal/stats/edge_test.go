@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -29,106 +28,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 			if got := Percentile(tc.vals, tc.p); got != tc.want {
 				t.Fatalf("Percentile(%v, %v) = %d, want %d", tc.vals, tc.p, got, tc.want)
 			}
-		})
-	}
-}
-
-func TestBarChartEdgeCases(t *testing.T) {
-	cases := []struct {
-		name      string
-		labels    []string
-		values    []float64
-		reference float64
-		width     int
-		check     func(t *testing.T, out string)
-	}{
-		{
-			name:   "all zero values render empty bars",
-			labels: []string{"a", "b"}, values: []float64{0, 0},
-			width: 10,
-			check: func(t *testing.T, out string) {
-				if strings.Contains(out, "#") {
-					t.Fatalf("zero-valued chart drew bars:\n%s", out)
-				}
-				if !strings.Contains(out, "0.000") {
-					t.Fatalf("values not printed:\n%s", out)
-				}
-			},
-		},
-		{
-			name:   "NaN and Inf values do not poison the scale",
-			labels: []string{"nan", "inf", "neginf", "real"},
-			values: []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2},
-			width:  8,
-			check: func(t *testing.T, out string) {
-				lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-				if len(lines) != 4 {
-					t.Fatalf("want 4 rows, got %d:\n%s", len(lines), out)
-				}
-				// The finite value owns the scale: its bar is full width.
-				if !strings.Contains(lines[3], strings.Repeat("#", 8)) {
-					t.Fatalf("finite row lost its bar:\n%s", out)
-				}
-				for _, l := range lines[:3] {
-					if strings.Contains(l, "#") {
-						t.Fatalf("non-finite row drew a bar: %q", l)
-					}
-				}
-			},
-		},
-		{
-			name:   "label wider than chart is clipped",
-			labels: []string{"this-label-is-much-wider-than-the-chart", "b"},
-			values: []float64{1, 2},
-			width:  10,
-			check: func(t *testing.T, out string) {
-				if strings.Contains(out, "this-label-is-much-wider-than-the-chart") {
-					t.Fatalf("oversized label not clipped:\n%s", out)
-				}
-				if !strings.Contains(out, "this-labe~") {
-					t.Fatalf("clipped label marker missing:\n%s", out)
-				}
-			},
-		},
-		{
-			name:   "more labels than values stops cleanly",
-			labels: []string{"a", "b", "c"}, values: []float64{1},
-			width: 10,
-			check: func(t *testing.T, out string) {
-				if n := strings.Count(out, "\n"); n != 1 {
-					t.Fatalf("want 1 row, got %d:\n%s", n, out)
-				}
-			},
-		},
-		{
-			name:   "zero width falls back to default",
-			labels: []string{"a"}, values: []float64{1},
-			width: 0,
-			check: func(t *testing.T, out string) {
-				if !strings.Contains(out, strings.Repeat("#", 50)) {
-					t.Fatalf("default width not applied:\n%s", out)
-				}
-			},
-		},
-		{
-			name:   "reference beyond data sets the scale",
-			labels: []string{"a"}, values: []float64{1},
-			reference: 4, width: 8,
-			check: func(t *testing.T, out string) {
-				// 1/4 of 8 cells = 2 bar cells, reference tick at the end.
-				if !strings.Contains(out, "##") || strings.Contains(out, "###") {
-					t.Fatalf("bar not scaled to the reference:\n%s", out)
-				}
-				if !strings.Contains(out, "|") {
-					t.Fatalf("reference tick missing:\n%s", out)
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			out := BarChart("", tc.labels, tc.values, tc.reference, tc.width)
-			tc.check(t, out)
 		})
 	}
 }

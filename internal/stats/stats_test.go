@@ -108,35 +108,3 @@ func TestRunSetBenchmarks(t *testing.T) {
 		t.Errorf("benchmarks = %v", got)
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	out := BarChart("title", []string{"a", "bb"}, []float64{1, 2}, 1, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 || lines[0] != "title" {
-		t.Fatalf("chart:\n%s", out)
-	}
-	// The longer value must render a longer bar.
-	if strings.Count(lines[1], "#") >= strings.Count(lines[2], "#") {
-		t.Errorf("bars not proportional:\n%s", out)
-	}
-	// The reference marker appears.
-	if !strings.Contains(out, "|") {
-		t.Error("reference marker missing")
-	}
-	// Degenerate inputs do not panic.
-	_ = BarChart("", nil, nil, 0, 0)
-	_ = BarChart("", []string{"x"}, []float64{0}, 0, 10)
-}
-
-func TestChartColumn(t *testing.T) {
-	tb := Table{Header: []string{"bench", "speedup"}}
-	tb.Add("hash", 1.86)
-	tb.Add("rbtree", 0.93)
-	out := tb.ChartColumn(1, 1.0, 30)
-	if !strings.Contains(out, "hash") || !strings.Contains(out, "1.860") {
-		t.Errorf("chart column:\n%s", out)
-	}
-	if tb.ChartColumn(0, 1, 10) != "" || tb.ChartColumn(9, 1, 10) != "" {
-		t.Error("invalid column accepted")
-	}
-}

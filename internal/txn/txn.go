@@ -8,8 +8,8 @@
 //	sw-rlog     software redo logging, NO clwb  ─┘ reported as "unsafe-base"
 //	undo-clwb   software undo logging + clwb before commit
 //	redo-clwb   software redo logging + per-store fence + clwb at commit
-//	hw-ulog     hardware undo-only logging, unsafe (optimistic bound)
-//	hw-rlog     hardware redo-only logging, unsafe (optimistic bound)
+//	hw-unsafe   hardware undo+redo logging, no persistence guarantee: the
+//	            optimistic bound (the paper's hw-ulog/hw-rlog bars)
 //	hwl         hardware undo+redo logging + clwb at commit (conservative)
 //	fwb         hwl + decoupled force write-back (the paper's full design)
 package txn
@@ -30,8 +30,7 @@ const (
 	SWRedo
 	SWUndoClwb
 	SWRedoClwb
-	HWUndo
-	HWRedo
+	HWUnsafe
 	HWL
 	FWB
 	numModes
@@ -53,12 +52,10 @@ type Spec struct {
 	// built by extra instructions and written through the WCB.
 	SWLog   bool
 	SWStyle nvlog.Style
-	// HWLog enables the hardware logging engine with the given style.
-	HWLog   bool
-	HWStyle nvlog.Style
-	// UnsafeHW disables the hardware engine's truncation safety (hw-ulog /
-	// hw-rlog: "no persistence guarantee").
-	UnsafeHW bool
+	// HWLog enables the hardware logging engine. Its records are always
+	// undo+redo; without Persistent the engine runs unsafe (hw-unsafe:
+	// "no persistence guarantee").
+	HWLog bool
 	// FencePerStore inserts a memory barrier between each log update and
 	// its data store (required by redo logging, Figure 1(b)).
 	FencePerStore bool
@@ -80,12 +77,9 @@ var specs = [numModes]Spec{
 		ClwbAtCommit: true, Persistent: true},
 	SWRedoClwb: {Name: "redo-clwb", SWLog: true, SWStyle: nvlog.RedoOnly,
 		FencePerStore: true, ClwbAtCommit: true, Persistent: true},
-	HWUndo: {Name: "hw-ulog", HWLog: true, HWStyle: nvlog.UndoOnly, UnsafeHW: true},
-	HWRedo: {Name: "hw-rlog", HWLog: true, HWStyle: nvlog.RedoOnly, UnsafeHW: true},
-	HWL: {Name: "hwl", HWLog: true, HWStyle: nvlog.UndoRedo,
-		ClwbAtCommit: true, Persistent: true},
-	FWB: {Name: "fwb", HWLog: true, HWStyle: nvlog.UndoRedo,
-		UseFWB: true, Persistent: true},
+	HWUnsafe: {Name: "hw-unsafe", HWLog: true},
+	HWL:      {Name: "hwl", HWLog: true, ClwbAtCommit: true, Persistent: true},
+	FWB:      {Name: "fwb", HWLog: true, UseFWB: true, Persistent: true},
 }
 
 // Spec returns the mode's behaviour description.

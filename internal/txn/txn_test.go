@@ -17,8 +17,7 @@ func TestSpecTable(t *testing.T) {
 		{SWRedo, "sw-rlog", false},
 		{SWUndoClwb, "undo-clwb", true},
 		{SWRedoClwb, "redo-clwb", true},
-		{HWUndo, "hw-ulog", false},
-		{HWRedo, "hw-rlog", false},
+		{HWUnsafe, "hw-unsafe", false},
 		{HWL, "hwl", true},
 		{FWB, "fwb", true},
 	}
@@ -45,16 +44,13 @@ func TestSpecInvariants(t *testing.T) {
 		if s.UseFWB && s.ClwbAtCommit {
 			t.Errorf("%s uses both FWB and clwb (FWB replaces clwb)", s.Name)
 		}
-		if s.UnsafeHW && s.Persistent {
-			t.Errorf("%s is unsafe yet persistent", s.Name)
-		}
 		if s.FencePerStore && s.SWStyle != nvlog.RedoOnly {
 			t.Errorf("%s has a per-store fence but is not redo logging", s.Name)
 		}
 	}
 	// The paper's full design: hardware undo+redo + FWB, no clwb.
 	f := FWB.Spec()
-	if !f.HWLog || f.HWStyle != nvlog.UndoRedo || !f.UseFWB || !f.Persistent {
+	if !f.HWLog || !f.UseFWB || !f.Persistent {
 		t.Errorf("fwb spec wrong: %+v", f)
 	}
 }

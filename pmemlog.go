@@ -73,8 +73,7 @@ const (
 	SWRedo     = txn.SWRedo
 	SWUndoClwb = txn.SWUndoClwb
 	SWRedoClwb = txn.SWRedoClwb
-	HWUndo     = txn.HWUndo
-	HWRedo     = txn.HWRedo
+	HWUnsafe   = txn.HWUnsafe
 	HWL        = txn.HWL
 	FWB        = txn.FWB
 )

@@ -49,12 +49,38 @@ func TestPublicQuickstart(t *testing.T) {
 }
 
 func TestParseAndListModes(t *testing.T) {
-	if len(AllModes()) != 9 {
-		t.Errorf("expected 9 modes, got %d", len(AllModes()))
+	if len(AllModes()) != 8 {
+		t.Errorf("expected 8 modes, got %d", len(AllModes()))
 	}
 	m, err := ParseMode("fwb")
 	if err != nil || m != FWB {
 		t.Errorf("ParseMode(fwb) = %v, %v", m, err)
+	}
+}
+
+// TestUnsafeBoundHoldsWhenLogWraps: hw-unsafe is the paper's "hardware
+// logging with no persistence guarantee", the bound fwb is judged against.
+// At a 32 KiB log every Table III benchmark wraps, and the bound must still
+// be one: no more cycles and no more log bytes than fwb in any cell.
+func TestUnsafeBoundHoldsWhenLogWraps(t *testing.T) {
+	p := QuickParams()
+	p.LogBytes = 32 << 10
+	threads := []int{1, 2}
+	rs, err := RunMicroGrid(MicroBenchNames(), threads, []Mode{HWUnsafe, FWB}, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range MicroBenchNames() {
+		for _, th := range threads {
+			unsafe, _ := rs.Get(b, HWUnsafe.String(), th)
+			fwb, _ := rs.Get(b, FWB.String(), th)
+			if unsafe.Cycles > fwb.Cycles {
+				t.Errorf("%s/%dt: hw-unsafe %d cycles > fwb %d", b, th, unsafe.Cycles, fwb.Cycles)
+			}
+			if unsafe.LogWriteBytes > fwb.LogWriteBytes {
+				t.Errorf("%s/%dt: hw-unsafe %d log bytes > fwb %d", b, th, unsafe.LogWriteBytes, fwb.LogWriteBytes)
+			}
+		}
 	}
 }
 
@@ -87,7 +113,7 @@ func TestFigureShapes(t *testing.T) {
 		t.Skip("grid run")
 	}
 	p := tinyParams()
-	modes := FigureModes()
+	modes := AllModes()
 	rs, err := RunMicroGrid([]string{"hash", "sps"}, []int{1}, modes, p, nil)
 	if err != nil {
 		t.Fatal(err)
