@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet pmlint pmlint-flow trace trace-test bench-baseline perf doctor chaos pulse scope fuzz ci
+.PHONY: all build test race lint fmt vet pmlint pmlint-flow trace trace-test bench-baseline perf doctor chaos pulse scope scope-reports fuzz ci
 
 all: build test
 
@@ -108,6 +108,19 @@ scope:
 	$(GO) test ./internal/obs/pulse -run 'TestScopeGoldenRoundTrip|TestDocDecodeV1Compat|TestScopeWrapForecast' -count=1
 	$(GO) test ./internal/server -run 'TestScopeCoalescibleZipfVsUniform|TestScopeWrapForecastLive' -count=1
 	$(GO) test ./cmd/pmctl -run 'Scope|Residency|Render|Once' -count=1
+
+# scope-reports prices every flight dump that DUMPS matches with `pmctl
+# scope -json`, writing <dump>.scope.json beside each. A dump that fails
+# to price is skipped: the reports ride along with uploaded artifacts
+# and gate nothing. CI runs it over the kill-trial dumps and, when the
+# chaos campaign fails, over its surviving dumps.
+DUMPS ?= flight-dumps/*.json
+
+scope-reports:
+	@for d in $(DUMPS); do \
+		[ -e "$$d" ] || continue; \
+		$(GO) run ./cmd/pmctl scope -json "$$d" > "$${d%.json}.scope.json" || true; \
+	done
 
 # fuzz runs every fuzzer for 10s: the log record decode, torn-bit scan
 # and metadata walk (plus booting from what the walk accepts), the image

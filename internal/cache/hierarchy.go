@@ -91,8 +91,9 @@ type Hierarchy struct {
 	chaos *chaos.Injector
 
 	// scope is the persistence-domain cost ledger (nil = unscoped). The
-	// hierarchy reports forced write-backs, line re-dirties (for the
-	// wasted-flush detector), and scan-pass boundaries.
+	// hierarchy feeds its wasted-flush detector: forced write-backs, line
+	// re-dirties and scan-pass boundaries. The forced write-back count
+	// itself is each cache's Stats.FwbForced.
 	scope *scope.Counters
 }
 
@@ -379,12 +380,6 @@ func (h *Hierarchy) FwbScan(now uint64) {
 		h.tracer.Emit(h.traceRing, now, obs.KindFwbScan, 0, h.fwbForced<<32|flagged&0xffffffff)
 	}
 }
-
-// FwbFlaggedTotal returns the lifetime count of FLAG→FWB transitions
-// across the tree (lines the scanner marked on one pass and would force
-// out on the next — the paper's two-pass Figure 5 FSM). The pulse
-// sampler publishes it for scan hit-rate accounting.
-func (h *Hierarchy) FwbFlaggedTotal() uint64 { return h.flaggedTotal() }
 
 // flaggedTotal sums the FLAG→FWB transition counters across the tree.
 func (h *Hierarchy) flaggedTotal() uint64 {

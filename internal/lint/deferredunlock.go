@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 
 	"pmemlog/internal/lint/flow"
 )
@@ -32,76 +34,98 @@ func runDeferredunlock(pass *Pass) {
 	}
 }
 
-// lockCall matches a sync.Mutex/RWMutex method call and renders its
-// receiver expression ("sh.mu") as the pairing key.
-func lockCall(info *types.Info, call *ast.CallExpr, names ...string) (recv string, ok bool) {
+// lockCall matches a sync method call named one of names and renders
+// it as written ("sh.mu.Unlock"); the receiver expression pairs a lock
+// with its release.
+func lockCall(info *types.Info, call *ast.CallExpr, names ...string) (string, bool) {
 	fn := calleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
-	}
-	match := false
-	for _, n := range names {
-		if fn.Name() == n {
-			match = true
-			break
-		}
-	}
-	if !match {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || !slices.Contains(names, fn.Name()) {
 		return "", false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
 	}
-	return types.ExprString(sel.X), true
+	return types.ExprString(sel), true
 }
 
 func checkUnlockScope(pass *Pass, sc scope) {
+	// A lock's key is the release that pairs with it: sh.mu.Lock →
+	// sh.mu.Unlock, sh.mu.RLock → sh.mu.RUnlock.
+	lock := func(call *ast.CallExpr) (string, bool) {
+		acq, ok := lockCall(pass.Info, call, "Lock", "RLock")
+		return strings.TrimSuffix(acq, "Lock") + "Unlock", ok
+	}
+	unlocks := func(n ast.Node, key string) bool {
+		// An inline unlock, or a defer registered after the lock, both
+		// release by scope exit.
+		_, isDefer := n.(*ast.DeferStmt)
+		for _, call := range callsIn(n, isDefer) {
+			if rel, ok := lockCall(pass.Info, call, "Unlock", "RUnlock"); ok && rel == key {
+				return true
+			}
+		}
+		return false
+	}
+	for _, l := range unreleased(pass, sc, lock, unlocks) {
+		acq, _ := lockCall(pass.Info, l.call, "Lock", "RLock")
+		pass.Reportf(l.call.Pos(),
+			"%s: %s has a path to return without %s (%s); a leaked lock wedges the next entrant",
+			sc.name, acq, l.key, l.path)
+	}
+}
+
+// leak is one acquisition that a path reaches return without releasing.
+type leak struct {
+	call *ast.CallExpr // the acquiring call
+	key  string        // the release acquire named for it
+	path string        // the escaping path, rendered
+}
+
+// unreleased proves, on sc's CFG, that every call acquire matches is
+// released on every panic-free path to return, and returns the
+// acquisitions that are not. acquire names each acquiring call's
+// release key, and released reports whether a node releases key. A
+// defer that releases and is registered before the acquisition (earlier
+// in its block, or in a dominating block) covers every exit; otherwise a
+// releasing node must lie on every path forward from the acquisition.
+// txnpair (TxBegin/TxCommit) and deferredunlock (Lock/Unlock) are this
+// prover with different matchers.
+func unreleased(pass *Pass, sc scope, acquire func(*ast.CallExpr) (string, bool), released func(n ast.Node, key string) bool) []leak {
 	g := pass.Mod.Graph(sc.body())
 	type site struct {
-		call *ast.CallExpr
 		n    ast.Node
 		b    *flow.Block
 		i    int
-		recv string
-		kind string // "Lock" or "RLock"
+		call *ast.CallExpr
+		key  string
 	}
-	var locks []site
-	var deferUnlocks []site
+	var acqs, defers []site
 	for _, b := range g.Blocks {
 		for i, n := range b.Nodes {
 			if _, isDefer := n.(*ast.DeferStmt); isDefer {
-				for _, call := range callsIn(n, true) {
-					if recv, ok := lockCall(pass.Info, call, "Unlock", "RUnlock"); ok {
-						fn := calleeOf(pass.Info, call)
-						deferUnlocks = append(deferUnlocks, site{call, n, b, i, recv, fn.Name()})
-					}
-				}
+				defers = append(defers, site{n: n, b: b, i: i})
 				continue
 			}
 			for _, call := range callsIn(n, false) {
-				if recv, ok := lockCall(pass.Info, call, "Lock", "RLock"); ok {
-					fn := calleeOf(pass.Info, call)
-					locks = append(locks, site{call, n, b, i, recv, fn.Name()})
+				if key, ok := acquire(call); ok {
+					acqs = append(acqs, site{n, b, i, call, key})
 				}
 			}
 		}
 	}
-	if len(locks) == 0 {
-		return
+	if len(acqs) == 0 {
+		return nil
 	}
 	dom := flow.Dominators(g)
-	for _, lk := range locks {
-		unlockName := "Unlock"
-		if lk.kind == "RLock" {
-			unlockName = "RUnlock"
-		}
+	var out []leak
+	for _, a := range acqs {
+		// Escape only scans forward from the acquisition, so a release
+		// already deferred when it runs is checked here.
 		covered := false
-		for _, du := range deferUnlocks {
-			if du.recv != lk.recv || du.kind != unlockName {
-				continue
-			}
-			if (du.b == lk.b && du.i < lk.i) || (du.b != lk.b && dom.Dominates(du.b, lk.b)) {
+		for _, d := range defers {
+			before := (d.b == a.b && d.i < a.i) || (d.b != a.b && dom.Dominates(d.b, a.b))
+			if before && released(d.n, a.key) {
 				covered = true
 				break
 			}
@@ -109,23 +133,10 @@ func checkUnlockScope(pass *Pass, sc scope) {
 		if covered {
 			continue
 		}
-		releaseCredit := func(n ast.Node) bool {
-			// An inline unlock or a defer registered after the lock both
-			// release by scope exit.
-			_, isDefer := n.(*ast.DeferStmt)
-			for _, call := range callsIn(n, isDefer) {
-				if recv, ok := lockCall(pass.Info, call, unlockName); ok && recv == lk.recv {
-					return true
-				}
-			}
-			return false
+		chain, escapes := g.Escape(a.n, func(n ast.Node) bool { return released(n, a.key) })
+		if escapes {
+			out = append(out, leak{a.call, a.key, flow.PathString(pass.Fset, chain, g.Exit)})
 		}
-		chain, escapes := g.Escape(lk.n, releaseCredit)
-		if !escapes {
-			continue
-		}
-		pass.Reportf(lk.call.Pos(),
-			"%s: %s.%s has a path to return without %s.%s (%s); a leaked lock wedges the next entrant",
-			sc.name, lk.recv, lk.kind, lk.recv, unlockName, flow.PathString(pass.Fset, chain, g.Exit))
 	}
+	return out
 }

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"pmemlog/internal/lint/flow"
 )
 
 // Txnpair enforces transaction pairing, the precondition for the paper's
@@ -55,7 +53,10 @@ func checkCtxPairing(pass *Pass, fd *ast.FuncDecl) {
 }
 
 func checkCtxScope(pass *Pass, sc scope) {
-	commitCredit := func(n ast.Node) bool {
+	begin := func(call *ast.CallExpr) (string, bool) {
+		return "", primEffect(calleeOf(pass.Info, call)) == effTxBegin
+	}
+	commits := func(n ast.Node, _ string) bool {
 		for _, call := range callsIn(n, true) {
 			fn := calleeOf(pass.Info, call)
 			if primEffect(fn) == effTxCommit {
@@ -68,55 +69,10 @@ func checkCtxScope(pass *Pass, sc scope) {
 		}
 		return false
 	}
-
-	g := pass.Mod.Graph(sc.body())
-	type site struct {
-		n    ast.Node
-		b    *flow.Block
-		i    int
-		call *ast.CallExpr
-	}
-	var begins, deferCommits []site
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if _, isDefer := n.(*ast.DeferStmt); isDefer {
-				if commitCredit(n) {
-					deferCommits = append(deferCommits, site{n, b, i, nil})
-				}
-				continue
-			}
-			for _, call := range callsIn(n, false) {
-				if primEffect(calleeOf(pass.Info, call)) == effTxBegin {
-					begins = append(begins, site{n, b, i, call})
-				}
-			}
-		}
-	}
-	if len(begins) == 0 {
-		return
-	}
-	dom := flow.Dominators(g)
-	for _, beg := range begins {
-		// A commit already registered with defer when TxBegin runs (defer
-		// earlier in the same block, or in a dominating one) covers every
-		// exit; Escape only scans forward from the begin.
-		covered := false
-		for _, dc := range deferCommits {
-			if (dc.b == beg.b && dc.i < beg.i) || (dc.b != beg.b && dom.Dominates(dc.b, beg.b)) {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			continue
-		}
-		chain, escapes := g.Escape(beg.n, commitCredit)
-		if !escapes {
-			continue
-		}
-		pass.Reportf(beg.call.Pos(),
+	for _, l := range unreleased(pass, sc, begin, commits) {
+		pass.Reportf(l.call.Pos(),
 			"%s opens a transaction with TxBegin but a path reaches return with no TxCommit (%s); an uncommitted transaction pins its log records and wedges truncation",
-			sc.name, flow.PathString(pass.Fset, chain, g.Exit))
+			sc.name, l.path)
 	}
 }
 

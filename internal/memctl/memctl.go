@@ -21,7 +21,6 @@ import (
 	"pmemlog/internal/mem"
 	"pmemlog/internal/nvram"
 	"pmemlog/internal/obs"
-	"pmemlog/internal/obs/scope"
 )
 
 // Config describes the controller.
@@ -185,12 +184,6 @@ type Controller struct {
 	tracer    *obs.Tracer
 	traceRing int
 
-	// scope is the persistence-domain cost ledger (nil = unscoped). The
-	// controller is the one component that sees EVERY data write-back
-	// reaching NVRAM — forced or natural — so it owns the DataWB count;
-	// the cache layer marks the forced subset.
-	scope *scope.Counters
-
 	stats Stats
 }
 
@@ -201,10 +194,6 @@ func (c *Controller) SetTracer(t *obs.Tracer, ring int) {
 	c.tracer = t
 	c.traceRing = ring
 }
-
-// SetScope attaches (or with nil detaches) the persistence-domain cost
-// ledger.
-func (c *Controller) SetScope(s *scope.Counters) { c.scope = s }
 
 // New creates a controller over the given devices.
 func New(cfg Config, nv *nvram.Device, dr *dram.Device) (*Controller, error) {
@@ -296,7 +285,6 @@ func (c *Controller) WriteBackLine(now uint64, addr mem.Addr, src *mem.Line) uin
 		c.trackedNVWrite(start, done, addr, src[:], false)
 		c.stats.DataWrites++
 		c.stats.DataWriteBytes += mem.LineSize
-		c.scope.NoteDataWB()
 		c.tracer.Emit(c.traceRing, done, obs.KindWriteBack, 0, uint64(addr))
 		if c.wbHook != nil {
 			c.wbHook(addr, done)

@@ -359,7 +359,7 @@ func buildScope(ends, counts []ShardSample, secs float64) ScopeDoc {
 		g, a := &ends[i], &counts[i]
 		logBytes := a.LogUndoBytes + a.LogRedoBytes + a.LogHeaderBytes + a.LogChecksumBytes
 		naturalWB := a.NaturalWB()
-		wbBytes := (a.ForcedWB + naturalWB) * mem.LineSize
+		wbBytes := (a.FwbForced + naturalWB) * mem.LineSize
 		s := ScopeShardDoc{
 			Shard:            i,
 			LiveRecords:      g.LiveRecords,
@@ -374,7 +374,7 @@ func buildScope(ends, counts []ShardSample, secs float64) ScopeDoc {
 			s.LogRedoBytesPerSec = float64(a.LogRedoBytes) / secs
 			s.LogHeaderBytesPerSec = float64(a.LogHeaderBytes) / secs
 			s.LogChecksumBytesPerSec = float64(a.LogChecksumBytes) / secs
-			s.ForcedWBBytesPerSec = float64(a.ForcedWB) * mem.LineSize / secs
+			s.ForcedWBBytesPerSec = float64(a.FwbForced) * mem.LineSize / secs
 			s.NaturalWBBytesPerSec = float64(naturalWB) * mem.LineSize / secs
 		}
 		if a.PayloadBytes > 0 {
@@ -386,11 +386,11 @@ func buildScope(ends, counts []ShardSample, secs float64) ScopeDoc {
 		if a.UpdateAppends > 0 {
 			s.CoalescibleFraction = float64(a.CoalescibleAppends) / float64(a.UpdateAppends)
 		}
-		if a.ForcedWB > 0 {
-			s.WastedForcedFraction = float64(a.WastedForcedWB) / float64(a.ForcedWB)
+		if a.FwbForced > 0 {
+			s.WastedForcedFraction = float64(a.WastedForcedWB) / float64(a.FwbForced)
 		}
 		if a.FwbScans > 0 {
-			s.FwbForcedPerScan = float64(a.ForcedWB) / float64(a.FwbScans)
+			s.FwbForcedPerScan = float64(a.FwbForced) / float64(a.FwbScans)
 			s.FwbFlaggedPerScan = float64(a.FwbFlagged) / float64(a.FwbScans)
 		}
 		// Wrap forecast: seconds until the tail next crosses a capacity

@@ -29,6 +29,8 @@ func scopeSample(scale uint64) ShardSample {
 			FwbScans:        2 * scale,
 			NVRAMWriteBytes: 9000 * scale,
 			FwbFlagged:      30 * scale,
+			DataWrites:      20 * scale, // 10 forced + 10 natural
+			FwbForced:       10 * scale,
 			LiveRecords:     60 * scale,
 			Ledger: scope.Ledger{
 				PayloadBytes:       800 * scale,
@@ -38,8 +40,6 @@ func scopeSample(scale uint64) ShardSample {
 				LogChecksumBytes:   200 * scale,
 				UpdateAppends:      100 * scale,
 				CoalescibleAppends: 25 * scale,
-				DataWB:             20 * scale, // 10 forced + 10 natural
-				ForcedWB:           10 * scale,
 				WastedForcedWB:     2 * scale,
 				TxnsMeasured:       50 * scale,
 				TxnAmpMilliSum:     240_000 * scale,

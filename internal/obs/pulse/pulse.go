@@ -47,10 +47,11 @@ type ShardSample struct {
 	QueueLen int
 	QueueCap int
 
-	Requests uint64
-	Batches  uint64
-	Saves    uint64
-	Keys     uint64 // gauge: live keys in the shard's store
+	Requests      uint64
+	Batches       uint64
+	Saves         uint64
+	Keys          uint64 // gauge: live keys in the shard's store
+	HeapUsedBytes uint64 // gauge: persistent heap bytes handed out
 
 	scope.Snapshot
 }

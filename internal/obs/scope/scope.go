@@ -135,12 +135,9 @@ type Ledger struct {
 	UpdateAppends      uint64
 	CoalescibleAppends uint64
 
-	// Data write-back lines reaching NVRAM: DataWB is every one,
-	// ForcedWB the subset pushed by the FWB scanner, WastedForcedWB the
-	// forced ones re-dirtied before the next scan (the flush bought no
-	// truncation headroom that a later write-back would not also buy).
-	DataWB         uint64
-	ForcedWB       uint64
+	// WastedForcedWB counts FWB-forced write-backs whose line was
+	// re-dirtied before the next scan: the flush bought no truncation
+	// headroom that a later write-back would not also buy.
 	WastedForcedWB uint64
 
 	// Per-transaction amplification: committed transactions with at
@@ -151,22 +148,14 @@ type Ledger struct {
 	TxnAmpMilliSum uint64
 }
 
-// NaturalWB returns the data write-backs not forced by the scanner
-// (evictions, clwb flushes, emergency flushes).
-func (l *Ledger) NaturalWB() uint64 {
-	if l.DataWB < l.ForcedWB {
-		return 0
-	}
-	return l.DataWB - l.ForcedWB
-}
-
 // Snapshot is the machine counter vocabulary, declared exactly once:
 // the ledger plus the counters and log pointers the machine's other
-// components keep. sim.System.Snapshot fills one, the server's shard
-// loop publishes it once per batch, and every concurrent reader (the
-// pulse sampler, /metrics, /healthz, flight dumps) sees that one value.
-// All fields are cumulative except the log pointers and LiveRecords,
-// which are gauges.
+// components keep. sim.System.Snapshot is the one function that
+// gathers it; the server's shard loop publishes it once per batch, and
+// every reader of a machine's counters (sim.System.Stats, the pulse
+// sampler, the stats document, /metrics, /healthz, flight dumps) sees
+// that one value. All fields are cumulative except the log pointers
+// and LiveRecords, which are gauges.
 type Snapshot struct {
 	Ledger
 
@@ -176,14 +165,39 @@ type Snapshot struct {
 	LogTail uint64
 	LogCap  uint64
 
-	Txns            uint64 // committed machine transactions
-	LogAppends      uint64 // undo+redo records appended
-	LogTruncated    uint64 // records reclaimed by head advance
-	FwbScans        uint64 // forced write-back scans completed
-	NVRAMWriteBytes uint64 // bytes written to simulated NVRAM
+	Cycles       uint64 // the furthest core's clock
+	Instructions uint64 // retired instructions, all cores
+	StallCycles  uint64 // core cycles stalled on memory
+	Txns         uint64 // committed machine transactions
 
-	FwbFlagged  uint64 // FLAG→FWB transitions in the scan FSM
+	L1Hits   uint64 // summed over the cores' L1s
+	L1Misses uint64
+	L2Hits   uint64
+	L2Misses uint64
+
+	NVRAMReadBytes  uint64 // bytes read from simulated NVRAM
+	NVRAMWriteBytes uint64 // bytes written to simulated NVRAM
+	LogWriteBytes   uint64 // the NVRAM write bytes carrying log records
+	LogBufStalls    uint64 // log appends that waited for a full log buffer
+	DataWrites      uint64 // data lines written back to NVRAM, forced or natural
+
+	LogAppends   uint64 // undo+redo records appended
+	LogTruncated uint64 // records reclaimed by head advance
+	LogGrows     uint64 // log_grow migrations
+	FwbScans     uint64 // forced write-back scans completed
+	FwbFlagged   uint64 // FLAG→FWB transitions in the scan FSM
+	FwbForced    uint64 // data write-backs the FWB scanner forced
+
 	LiveRecords uint64 // gauge: records currently live in the log
+}
+
+// NaturalWB returns the data write-backs the FWB scanner did not force
+// (evictions, clwb flushes, emergency flushes).
+func (s *Snapshot) NaturalWB() uint64 {
+	if s.DataWrites < s.FwbForced {
+		return 0
+	}
+	return s.DataWrites - s.FwbForced
 }
 
 // Counters is one machine's persistence-domain ledger plus the sketches
@@ -195,14 +209,6 @@ type Counters struct {
 
 	txnLines LineSketch // (handle, line) tags of the open transactions
 	forced   LineSketch // lines force-flushed since the last scan
-}
-
-// NaturalWB is Ledger.NaturalWB for a possibly-nil (unscoped) machine.
-func (c *Counters) NaturalWB() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.Ledger.NaturalWB()
 }
 
 // NoteLogBytes accounts one log append's (or log metadata write's)
@@ -249,27 +255,15 @@ func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 	c.txnLines.Clear()
 }
 
-// NoteDataWB accounts one data line write-back reaching NVRAM (forced
-// or natural — the memory controller cannot tell; the cache layer
-// marks the forced ones via NoteForcedWB).
-//
-//pmlint:hot
-func (c *Counters) NoteDataWB() {
-	if c == nil {
-		return
-	}
-	c.DataWB++
-}
-
-// NoteForcedWB accounts one FWB-scanner-forced write-back of line and
-// arms the wasted-flush detector for it.
+// NoteForcedWB arms the wasted-flush detector for a line the FWB
+// scanner just forced out. The count of forced write-backs is the
+// caches' own (cache.Stats.FwbForced).
 //
 //pmlint:hot
 func (c *Counters) NoteForcedWB(line uint64) {
 	if c == nil {
 		return
 	}
-	c.ForcedWB++
 	c.forced.Touch(mix(forcedSalt, line))
 }
 

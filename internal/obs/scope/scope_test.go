@@ -100,17 +100,14 @@ func TestCountersLedger(t *testing.T) {
 		t.Fatalf("cross-txn repeat counted coalescible: %d", c.CoalescibleAppends)
 	}
 
-	// FWB efficiency: two forced among three write-backs, one forced
-	// line re-dirtied before the next scan.
-	c.NoteDataWB()
-	c.NoteDataWB()
-	c.NoteDataWB()
+	// FWB efficiency: two forced write-backs, one forced line re-dirtied
+	// before the next scan.
 	c.NoteForcedWB(64)
 	c.NoteForcedWB(128)
 	c.NoteDirtied(64)  // wasted: flushed then re-dirtied
 	c.NoteDirtied(256) // never flushed: not wasted
-	if c.NaturalWB() != 1 || c.WastedForcedWB != 1 {
-		t.Fatalf("natural=%d wasted=%d", c.NaturalWB(), c.WastedForcedWB)
+	if c.WastedForcedWB != 1 {
+		t.Fatalf("wasted=%d", c.WastedForcedWB)
 	}
 	// After a scan pass the old forced set no longer counts as wasted.
 	c.NoteScan()
@@ -137,13 +134,9 @@ func TestCountersNilSafe(t *testing.T) {
 	c.NoteLogBytes(1, 2, 3, 4)
 	c.NoteStore(1, 64, 8)
 	c.NoteTxnCommit(8, 32)
-	c.NoteDataWB()
 	c.NoteForcedWB(64)
 	c.NoteDirtied(64)
 	c.NoteScan()
-	if c.NaturalWB() != 0 {
-		t.Fatal("nil counters reported nonzero totals")
-	}
 }
 
 // TestScopeZeroAllocSteadyState is the acceptance guard: the
@@ -161,7 +154,6 @@ func TestScopeZeroAllocSteadyState(t *testing.T) {
 		c.NoteStore(handle, line, 8) // recurrence path
 		c.NoteLogBytes(8, 8, 14, 2)
 		c.NoteDirtied(line)
-		c.NoteDataWB()
 		c.NoteForcedWB(line)
 		c.NoteDirtied(line) // wasted-flush removal path
 		c.NoteTxnCommit(16, 96)

@@ -127,9 +127,9 @@ func (s *Server) serveHTTP(ln net.Listener) {
 	srv.Serve(ln)
 }
 
-// healthz answers readiness from published state only (no shard probe):
-// 200 while serving, 503 once draining. Wrap pressure per shard comes
-// from the loop-published log pointers, the same view a dump captures;
+// healthz answers readiness from published state only: 200 while
+// serving, 503 once draining. Wrap pressure per shard comes from the
+// loop-published log pointers, the same view a dump captures;
 // the degraded gate reads the pulse collector's latest completed window
 // (a sustained view — a single busy batch cannot flap health), and
 // before the first window closes the server is simply "ok".

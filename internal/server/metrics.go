@@ -9,7 +9,6 @@ import (
 
 	"pmemlog/internal/flight"
 	"pmemlog/internal/obs"
-	"pmemlog/internal/obs/pulse"
 )
 
 // Observability wiring for the server: a metrics registry answering
@@ -108,22 +107,16 @@ func (s *Server) setGauge(name, labels, help string, v uint64) {
 }
 
 // viewGauges sets the machine-level gauges (keys, txns, log traffic,
-// per-shard queue/batches/saves) from each shard's published view — the
-// same values /pulse.json, /healthz and a flight dump read, and never a
-// probe that a full or wedged shard queue could refuse.
+// per-shard queue/batches/saves) from each shard's published view and
+// the sum Stats reports — the same values /pulse.json, /healthz, the
+// stats document and a flight dump read.
 func (s *Server) viewGauges() {
 	set := s.setGauge
 	set("pmserver_connections_accepted", "", "TCP connections accepted since start", s.accepted.Load())
 	set("pmserver_cross_shard_rejects", "", "TXN batches rejected for spanning shards", s.crossShard.Load())
-	var sum pulse.ShardSample
-	for _, sh := range s.shards {
-		v := sh.view()
-		sum.Keys += v.Keys
-		sum.Txns += v.Txns
-		sum.LogAppends += v.LogAppends
-		sum.LogTruncated += v.LogTruncated
-		sum.FwbScans += v.FwbScans
-		sum.NVRAMWriteBytes += v.NVRAMWriteBytes
+	views, sum := s.views()
+	for i, sh := range s.shards {
+		v := &views[i]
 		lbl := fmt.Sprintf("shard=\"%d\"", sh.id)
 		set("pmserver_shard_queue_len", lbl, "requests waiting in the shard queue", uint64(v.QueueLen))
 		set("pmserver_shard_batches", lbl, "request batches executed", v.Batches)

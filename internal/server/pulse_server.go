@@ -58,8 +58,8 @@ func (s *Server) initPulse() {
 // manually; the server's own ticker runs at Config.PulseInterval).
 func (s *Server) Pulse() *pulse.Collector { return s.pulse }
 
-// sampleShard hands the collector one shard's published view. Never
-// blocks on or probes the shard loop.
+// sampleShard hands the collector one shard's published view; it never
+// waits on the shard loop.
 //
 //pmlint:hot
 func (s *Server) sampleShard(i int, out *pulse.ShardSample) {

@@ -228,9 +228,7 @@ type Server struct {
 	conns map[net.Conn]struct{}
 
 	draining   atomic.Bool
-	dead       chan struct{} // closed once shards can no longer answer
 	shardsDead chan struct{} // closed once every shard loop has exited
-	deadOnce   sync.Once
 	stopOnce   sync.Once
 	acceptWG   sync.WaitGroup
 	connWG     sync.WaitGroup
@@ -329,7 +327,6 @@ func Start(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		conns:      make(map[net.Conn]struct{}),
-		dead:       make(chan struct{}),
 		shardsDead: make(chan struct{}),
 		chaosNet:   cfg.Chaos.Fork("net"),
 	}
@@ -425,7 +422,12 @@ type connReq struct {
 	resp  Response // filled by the shard or inline by the reader
 	val   []byte   // GET value scratch; resp.Val aliases it
 	enc   []byte   // response encode buffer: [4-byte len][body]
-	sr    request  // shard queue envelope (points back at this connReq)
+
+	// out is the owning connection's completion channel: the shard
+	// answers by sending the connReq on it. It has capacity for the
+	// connection's whole in-flight window, so the send never blocks and a
+	// shard never waits on a departed client.
+	out chan *connReq
 
 	// Flight-recorder state for spanned requests (wire Span != 0). span
 	// is nil when the request is untraced or the table shed it; spanTag
@@ -630,8 +632,8 @@ func (s *Server) routeAsync(cr *connReq, out chan *connReq) bool {
 		cr.span.SetShard(home)
 		cr.span.Mark(flight.StageEnqueue, int64(s.nowNS()))
 	}
-	cr.sr = request{req: req, pr: cr, out: out}
-	if !sh.tryEnqueue(&cr.sr) {
+	cr.out = out
+	if !sh.tryEnqueue(cr) {
 		s.noteRetry()
 		return answer(Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs})
 	}
@@ -673,8 +675,10 @@ type StatsSnapshot struct {
 	SlowSpans    uint64 `json:"slow_spans_captured"`
 }
 
-// Stats gathers a consistent-enough snapshot: each shard answers a probe
-// between batches, so its counters are internally consistent.
+// Stats builds the stats document from each shard's published view, so
+// it reflects every batch completed so far and never waits on a shard
+// loop: a full queue or a stopped loop still answers, with the counters
+// the shard last published. The error is always nil.
 func (s *Server) Stats() (StatsSnapshot, error) {
 	snap := StatsSnapshot{
 		Addr:       s.Addr(),
@@ -700,36 +704,36 @@ func (s *Server) Stats() (StatsSnapshot, error) {
 	snap.SpanInFlight = s.flight.InFlightCount()
 	snap.SpanDrops = s.flight.Drops()
 	snap.SlowSpans = s.flight.SlowCaptured()
-	probes := make([]chan ShardStats, len(s.shards))
+	views, sum := s.views()
 	for i, sh := range s.shards {
-		probes[i] = make(chan ShardStats, 1)
-		if !sh.tryEnqueue(&request{stats: probes[i]}) {
-			return snap, fmt.Errorf("server: shard %d queue full", i)
-		}
+		snap.ShardStats = append(snap.ShardStats, sh.shardStats(&views[i]))
 	}
-	for _, ch := range probes {
-		select {
-		case st := <-ch:
-			snap.ShardStats = append(snap.ShardStats, st)
-			snap.Keys += st.Keys
-			snap.Txns += st.Run.Transactions
-			snap.LogAppends += st.Run.LogAppends
-			snap.LogTrunc += st.Run.LogTruncated
-			snap.FwbScans += st.Run.FwbScans
-			snap.NVRAMBytes += st.Run.NVRAMWriteBytes
-		case <-s.dead:
-			return snap, fmt.Errorf("server: shutting down")
-		}
-	}
+	snap.Keys, snap.Txns = sum.Keys, sum.Txns
+	snap.LogAppends, snap.LogTrunc = sum.LogAppends, sum.LogTruncated
+	snap.FwbScans, snap.NVRAMBytes = sum.FwbScans, sum.NVRAMWriteBytes
 	return snap, nil
 }
 
-func (s *Server) statsResponse() Response {
-	snap, err := s.Stats()
-	if err != nil {
-		s.noteRetry()
-		return Response{Status: StatusRetry, RetryAfterMs: s.cfg.RetryAfterMs}
+// views reads every shard's published view, and their sum over the
+// fields the server-wide totals report: keys, txns, log appends and
+// truncations, FWB scans and NVRAM write bytes.
+func (s *Server) views() (views []pulse.ShardSample, sum pulse.ShardSample) {
+	views = make([]pulse.ShardSample, len(s.shards))
+	for i, sh := range s.shards {
+		v := sh.view()
+		views[i] = v
+		sum.Keys += v.Keys
+		sum.Txns += v.Txns
+		sum.LogAppends += v.LogAppends
+		sum.LogTruncated += v.LogTruncated
+		sum.FwbScans += v.FwbScans
+		sum.NVRAMWriteBytes += v.NVRAMWriteBytes
 	}
+	return views, sum
+}
+
+func (s *Server) statsResponse() Response {
+	snap, _ := s.Stats()
 	b, err := json.Marshal(snap)
 	if err != nil {
 		return Response{Status: StatusErr, Err: err.Error()}
@@ -757,7 +761,6 @@ func (s *Server) Shutdown() error {
 		for _, sh := range s.shards {
 			<-sh.done
 		}
-		s.deadOnce.Do(func() { close(s.dead) })
 		close(s.shardsDead)
 		s.closeConns()
 		s.connWG.Wait()
@@ -781,7 +784,6 @@ func (s *Server) Kill() {
 		for _, sh := range s.shards {
 			close(sh.kill)
 		}
-		s.deadOnce.Do(func() { close(s.dead) })
 		s.acceptWG.Wait()
 		for _, sh := range s.shards {
 			<-sh.done
@@ -799,14 +801,4 @@ func (s *Server) closeConns() {
 		c.Close()
 	}
 	s.mu.Unlock()
-}
-
-// Keys reports the number of live keys per shard via stats probes (test
-// and tooling convenience).
-func (s *Server) Keys() (uint64, error) {
-	snap, err := s.Stats()
-	if err != nil {
-		return 0, err
-	}
-	return snap.Keys, nil
 }

@@ -270,19 +270,22 @@ func TestShardQueueBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := func() *request { return &request{stats: make(chan ShardStats, 1)} }
+	out := make(chan *connReq, 5)
 	for i := 0; i < 4; i++ {
-		if !sh.tryEnqueue(probe()) {
+		if !sh.tryEnqueue(&connReq{out: out}) {
 			t.Fatalf("enqueue %d rejected below capacity", i)
 		}
 	}
-	if sh.tryEnqueue(probe()) {
+	if sh.tryEnqueue(&connReq{out: out}) {
 		t.Fatal("enqueue accepted beyond queue capacity")
 	}
 	// Draining the loop answers everything queued.
 	go sh.loop()
 	close(sh.stop)
 	<-sh.done
+	if len(out) != 4 {
+		t.Fatalf("drain answered %d of 4 queued requests", len(out))
+	}
 }
 
 func TestDrainingRejectsWithRetry(t *testing.T) {

@@ -13,22 +13,6 @@ import (
 	"pmemlog/internal/stats"
 )
 
-// request is one unit of work queued to a shard: either a client Request
-// or an internal stats probe (req == nil). Exactly one response is
-// delivered — a probe's on its buffered stats channel, a client
-// request's by handing the owning connReq back on its connection's out
-// channel — so a shard never blocks on a departed client.
-type request struct {
-	req   *Request
-	stats chan ShardStats // stats probes
-
-	// Client requests: the shard fills pr.resp and sends pr on out. out
-	// has capacity for the connection's whole in-flight window, so the
-	// send never blocks.
-	pr  *connReq
-	out chan *connReq
-}
-
 // ShardStats is one shard's slice of the stats endpoint snapshot.
 type ShardStats struct {
 	ID            int              `json:"id"`
@@ -40,7 +24,7 @@ type ShardStats struct {
 	Batches       uint64           `json:"batches"`
 	Saves         uint64           `json:"saves"`
 	Requests      uint64           `json:"requests"`
-	Run           stats.Run        `json:"run"`                // cumulative simulated-machine counters
+	Run           stats.Run        `json:"run"`                // cumulative simulated-machine counters; derived fields zero
 	Recovery      *recovery.Report `json:"recovery,omitempty"` // boot-time recovery, if the shard attached an image
 }
 
@@ -53,7 +37,7 @@ type shard struct {
 	sys      *sim.System
 	st       *store
 	imgPath  string
-	queue    chan *request
+	queue    chan *connReq
 	stop     chan struct{} // graceful: drain queue, final save, exit
 	kill     chan struct{} // hard: exit without saving (power-cut analogue)
 	done     chan struct{} // closed when the loop exits
@@ -61,15 +45,14 @@ type shard struct {
 
 	// live is the loop's working copy of the shard view: its Requests,
 	// Batches and Saves are the loop's own counters, the rest is refreshed
-	// from the machine by publish.
+	// from the machine and the store by publish.
 	live    pulse.ShardSample
 	unsaved bool             // writes committed since the last image save
 	bootRep *recovery.Report // recovery report from attach, if any
 
 	// Loop-owned scratch reused across batches so the steady-state batch
 	// path performs no per-batch slice allocation.
-	batch []*request
-	resps []Response
+	batch []*connReq
 
 	// nowNS is the span clock, installed by Start before loop() runs.
 	nowNS func() uint64
@@ -80,9 +63,9 @@ type shard struct {
 
 	// pub is the published view: publish copies live into it once per
 	// batch under pubMu, and view is how every concurrent reader (pulse
-	// sampler, /metrics, /healthz, flight dumps) sees the shard — one
-	// value, never torn, without touching the loop-owned machine.
-	// logBases is static after newShard.
+	// sampler, the stats document, /metrics, /healthz, flight dumps) sees
+	// the shard — one value, never torn, without touching the loop-owned
+	// machine. logBases is static after newShard.
 	pubMu    sync.Mutex
 	pub      pulse.ShardSample
 	logBases []uint64
@@ -98,7 +81,7 @@ func newShard(id int, cfg sim.Config, nBuckets uint64, dir string, queueDepth, b
 		id:       id,
 		sys:      sys,
 		imgPath:  filepath.Join(dir, fmt.Sprintf("shard-%03d.img", id)),
-		queue:    make(chan *request, queueDepth),
+		queue:    make(chan *connReq, queueDepth),
 		stop:     make(chan struct{}),
 		kill:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -141,6 +124,7 @@ func newShard(id int, cfg sim.Config, nBuckets uint64, dir string, queueDepth, b
 func (sh *shard) publish() {
 	sh.sys.Snapshot(&sh.live.Snapshot)
 	sh.live.Keys = sh.st.keys
+	sh.live.HeapUsedBytes = sh.sys.Heap().Used()
 	sh.pubMu.Lock()
 	sh.pub = sh.live
 	sh.pubMu.Unlock()
@@ -156,6 +140,27 @@ func (sh *shard) view() pulse.ShardSample {
 	sh.pubMu.Unlock()
 	v.QueueLen, v.QueueCap = len(sh.queue), cap(sh.queue)
 	return v
+}
+
+// shardStats renders a view of this shard as its slice of the stats document.
+// The run carries every machine counter; its derived end-of-run fields
+// are zero (see sim.System.RunOf). The heap size, the boot report and
+// the run's labels are fixed when the shard is built, so no field waits
+// on the loop.
+func (sh *shard) shardStats(v *pulse.ShardSample) ShardStats {
+	return ShardStats{
+		ID:            sh.id,
+		Keys:          v.Keys,
+		HeapUsedBytes: v.HeapUsedBytes,
+		HeapSizeBytes: sh.sys.Heap().Size(),
+		QueueLen:      v.QueueLen,
+		QueueCap:      v.QueueCap,
+		Batches:       v.Batches,
+		Saves:         v.Saves,
+		Requests:      v.Requests,
+		Run:           sh.sys.RunOf(&v.Snapshot),
+		Recovery:      sh.bootRep,
+	}
 }
 
 // flightState renders the view as the flight recorder's shard record,
@@ -222,7 +227,7 @@ func (sh *shard) loop() {
 // the shard's reusable batch slice (valid until the next collect).
 //
 //pmlint:hot
-func (sh *shard) collect(first *request) []*request {
+func (sh *shard) collect(first *connReq) []*connReq {
 	batch := append(sh.batch[:0], first)
 	for len(batch) < sh.batchMax {
 		select {
@@ -255,29 +260,19 @@ func (sh *shard) drain() {
 }
 
 // runBatch executes one batch: every request's transaction(s) run on the
-// shard's machine in arrival order, the image is persisted if anything was
-// written, and only then are the responses released — the acked-durability
-// point.
+// shard's machine in arrival order, each response written into its
+// connReq, the image is persisted if anything was written, and only then
+// are the responses released — the acked-durability point.
 //
 //pmlint:hot
-func (sh *shard) runBatch(batch []*request) {
+func (sh *shard) runBatch(batch []*connReq) {
 	sh.live.Batches++
-	if cap(sh.resps) < len(batch) {
-		sh.resps = make([]Response, len(batch))
-	}
-	resps := sh.resps[:len(batch)]
-	for i := range resps {
-		resps[i] = Response{}
-	}
 	wrote := false
 	anySpan := false
 	runErr := sh.sys.RunN(func(ctx sim.Ctx, _ int) {
-		for i, r := range batch {
-			if r.req == nil {
-				continue // stats probe: answered after the batch
-			}
+		for _, cr := range batch {
 			sh.live.Requests++
-			tag, sp := r.pr.spanTag, r.pr.span
+			tag, sp := cr.spanTag, cr.span
 			var tailBefore, commitBefore uint64
 			if tag != 0 {
 				// Stamp the machine's tx/log events with this request's
@@ -292,7 +287,7 @@ func (sh *shard) runBatch(batch []*request) {
 				_, tailBefore, _ = sh.sys.LogState()
 				_, _, commitBefore = sh.sys.LastCommit()
 			}
-			resps[i], r.pr.val = sh.apply(ctx, r.req, r.pr.val[:0])
+			cr.resp, cr.val = sh.apply(ctx, &cr.req, cr.val[:0])
 			if sp != nil {
 				_, tailAfter, _ := sh.sys.LogState()
 				sp.SetLogWindow(tailBefore, tailAfter)
@@ -303,7 +298,7 @@ func (sh *shard) runBatch(batch []*request) {
 			if tag != 0 {
 				sh.sys.SetSpan(0)
 			}
-			if resps[i].Status == StatusOK && r.req.Code != OpGet {
+			if cr.resp.Status == StatusOK && cr.req.Code != OpGet {
 				wrote = true
 			}
 		}
@@ -315,31 +310,26 @@ func (sh *shard) runBatch(batch []*request) {
 	// to the "apply" and "fwb" latency stages.
 	if anySpan {
 		fwbNS := int64(sh.nowNS())
-		for _, r := range batch {
-			if r.pr != nil && r.pr.span != nil {
-				r.pr.span.Mark(flight.StageFWB, fwbNS)
+		for _, cr := range batch {
+			if cr.span != nil {
+				cr.span.Mark(flight.StageFWB, fwbNS)
 			}
 		}
 	}
-	sh.settle(runErr, wrote, batch, resps)
+	sh.settle(runErr, wrote, batch)
 	if anySpan {
 		durNS := int64(sh.nowNS())
-		for _, r := range batch {
-			if r.pr != nil && r.pr.span != nil {
-				r.pr.span.Mark(flight.StageDurable, durNS)
+		for _, cr := range batch {
+			if cr.span != nil {
+				cr.span.Mark(flight.StageDurable, durNS)
 			}
 		}
 	}
 	sh.publish()
-	for i, r := range batch {
-		if r.stats != nil {
-			r.stats <- sh.snapshot()
-			continue
-		}
-		r.pr.resp = resps[i]
-		r.pr.resp.Seq = r.req.Seq
-		r.pr.resp.Span = r.req.Span
-		r.out <- r.pr
+	for _, cr := range batch {
+		cr.resp.Seq = cr.req.Seq
+		cr.resp.Span = cr.req.Span
+		cr.out <- cr
 	}
 }
 
@@ -351,22 +341,22 @@ func (sh *shard) runBatch(batch []*request) {
 // runBatch on all paths — the ordering pmlint's ackafterdurable rule
 // proves; whether the skip-save condition (read-only batch) is right is
 // what TestFlightDumpKillRecoveryAgreement checks dynamically.
-func (sh *shard) settle(runErr error, wrote bool, batch []*request, resps []Response) {
+func (sh *shard) settle(runErr error, wrote bool, batch []*connReq) {
 	switch {
 	case runErr != nil:
 		// Machine fault (e.g. wedged log): the batch's effects are
 		// indeterminate, so nothing is acked as OK.
-		for i := range resps {
-			resps[i] = Response{Status: StatusErr, Err: "shard machine fault: " + runErr.Error()}
+		for _, cr := range batch {
+			cr.resp = Response{Status: StatusErr, Err: "shard machine fault: " + runErr.Error()}
 		}
 	case wrote:
 		sh.unsaved = true
 		if err := sh.save(); err != nil {
 			// Commits happened on the simulated machine but the image did
 			// not persist: acking would break the durability contract.
-			for i, r := range batch {
-				if r.req != nil && r.req.Code != OpGet {
-					resps[i] = Response{Status: StatusErr, Err: "image save failed: " + err.Error()}
+			for _, cr := range batch {
+				if cr.req.Code != OpGet {
+					cr.resp = Response{Status: StatusErr, Err: "image save failed: " + err.Error()}
 				}
 			}
 		}
@@ -404,27 +394,10 @@ func (sh *shard) apply(ctx sim.Ctx, req *Request, dst []byte) (Response, []byte)
 	return Response{Status: StatusErr, Err: "unroutable opcode"}, dst
 }
 
-// snapshot assembles the shard's stats slice (loop goroutine only).
-func (sh *shard) snapshot() ShardStats {
-	return ShardStats{
-		ID:            sh.id,
-		Keys:          sh.st.keys,
-		HeapUsedBytes: sh.sys.Heap().Used(),
-		HeapSizeBytes: sh.sys.Heap().Size(),
-		QueueLen:      len(sh.queue),
-		QueueCap:      cap(sh.queue),
-		Batches:       sh.live.Batches,
-		Saves:         sh.live.Saves,
-		Requests:      sh.live.Requests,
-		Run:           sh.sys.Stats(),
-		Recovery:      sh.bootRep,
-	}
-}
-
 // tryEnqueue offers a request to the bounded queue without blocking.
-func (sh *shard) tryEnqueue(r *request) bool {
+func (sh *shard) tryEnqueue(cr *connReq) bool {
 	select {
-	case sh.queue <- r:
+	case sh.queue <- cr:
 		return true
 	default:
 		return false

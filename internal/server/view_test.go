@@ -14,11 +14,11 @@ import (
 	"pmemlog/internal/obs/pulse"
 )
 
-// metricValue extracts one unlabelled series from a Prometheus text
-// document.
+// metricValue extracts one series, labels included in name, from a
+// Prometheus text document.
 func metricValue(t *testing.T, doc, name string) uint64 {
 	t.Helper()
-	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(doc)
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`).FindStringSubmatch(doc)
 	if m == nil {
 		t.Fatalf("series %s missing from:\n%s", name, doc)
 	}
@@ -28,8 +28,8 @@ func metricValue(t *testing.T, doc, name string) uint64 {
 
 // TestOneSourceOfTruth: once traffic quiesces, every surface that
 // reports a shard's machine counters reports the same numbers — the
-// stats probe, /metrics, /healthz, a flight dump and the published view
-// all derive from one value per shard.
+// stats document read over the wire, /metrics, /healthz, a flight dump
+// and the published view all derive from one value per shard.
 func TestOneSourceOfTruth(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.HTTPAddr = "127.0.0.1:0"
@@ -52,8 +52,7 @@ func TestOneSourceOfTruth(t *testing.T) {
 		}
 	}
 
-	// The probe is itself a batch, so take it first: nothing moves after.
-	snap, err := srv.Stats()
+	snap, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +62,34 @@ func TestOneSourceOfTruth(t *testing.T) {
 		v := sh.view()
 		views[i] = v
 		st := snap.ShardStats[i]
-		if v.Txns != st.Run.Transactions || v.LogAppends != st.Run.LogAppends ||
-			v.NVRAMWriteBytes != st.Run.NVRAMWriteBytes || v.Keys != st.Keys ||
-			v.Requests != st.Requests || v.Batches != st.Batches || v.Saves != st.Saves {
-			t.Fatalf("shard %d: view %+v disagrees with stats probe %+v", i, v, st)
+		// Every Run field pmbench's per-layer metrics sum, beside the
+		// shard loop's own counters.
+		for name, got := range map[string][2]uint64{
+			"cycles":            {st.Run.Cycles, v.Cycles},
+			"instructions":      {st.Run.Instructions, v.Instructions},
+			"transactions":      {st.Run.Transactions, v.Txns},
+			"nvram_write_bytes": {st.Run.NVRAMWriteBytes, v.NVRAMWriteBytes},
+			"log_write_bytes":   {st.Run.LogWriteBytes, v.LogWriteBytes},
+			"l1_hits":           {st.Run.L1Hits, v.L1Hits},
+			"l1_misses":         {st.Run.L1Misses, v.L1Misses},
+			"l2_hits":           {st.Run.L2Hits, v.L2Hits},
+			"l2_misses":         {st.Run.L2Misses, v.L2Misses},
+			"fwb_scans":         {st.Run.FwbScans, v.FwbScans},
+			"fwb_forced":        {st.Run.FwbForced, v.FwbForced},
+			"log_appends":       {st.Run.LogAppends, v.LogAppends},
+			"log_buf_stalls":    {st.Run.LogBufStalls, v.LogBufStalls},
+			"log_truncated":     {st.Run.LogTruncated, v.LogTruncated},
+			"log_grows":         {st.Run.LogGrows, v.LogGrows},
+			"keys":              {st.Keys, v.Keys},
+			"batches":           {st.Batches, v.Batches},
+			"saves":             {st.Saves, v.Saves},
+			"requests":          {st.Requests, v.Requests},
+		} {
+			if got[0] != got[1] {
+				t.Errorf("shard %d: OpStats %s = %d, view says %d", i, name, got[0], got[1])
+			}
 		}
-		if v.Txns == 0 || v.LogAppends == 0 || v.Keys == 0 {
+		if v.Txns == 0 || v.LogAppends == 0 || v.Keys == 0 || v.Cycles == 0 || v.L1Hits == 0 {
 			t.Fatalf("shard %d saw no traffic: %+v", i, v)
 		}
 		sum.Txns += v.Txns
@@ -137,21 +158,82 @@ func TestOneSourceOfTruth(t *testing.T) {
 	}
 }
 
-// TestMetricsNeverProbesShards: a scrape reads published views, so it
-// answers even when a shard queue is full (the old stats-probe path
-// answered StatusRetry).
-func TestMetricsNeverProbesShards(t *testing.T) {
-	srv, err := Start(testConfig(t.TempDir()))
+// TestStoppedShardStillReports: no reader of a shard waits on its loop.
+// With shard 0's loop stopped and its queue full, the stats document (in
+// process and over the wire), the metrics reply, /healthz and a flight
+// dump all answer, with the counters shard 0 last published.
+func TestStoppedShardStillReports(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.HTTPAddr = "127.0.0.1:0"
+	srv, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
-	before := srv.shards[0].view().Batches
-	if resp := srv.metricsResponse(); resp.Status != StatusOK {
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 64; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("stopped-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sh := srv.shards[0]
+	close(sh.kill)
+	<-sh.done
+	for sh.tryEnqueue(&connReq{out: make(chan *connReq, 1)}) {
+	}
+	v := sh.view()
+	if v.Keys == 0 || v.Txns == 0 || v.QueueLen != v.QueueCap {
+		t.Fatalf("shard 0 view %+v: want traffic and a full queue", v)
+	}
+	checkStats := func(where string, snap StatsSnapshot, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		st := snap.ShardStats[0]
+		if st.Keys != v.Keys || st.Run.Transactions != v.Txns || st.Run.LogAppends != v.LogAppends ||
+			st.Batches != v.Batches || st.HeapUsedBytes != v.HeapUsedBytes || st.QueueLen != v.QueueCap {
+			t.Fatalf("%s: shard 0 %+v, published view %+v", where, st, v)
+		}
+	}
+	snap, err := srv.Stats()
+	checkStats("Stats", snap, err)
+	snap, err = c.Stats()
+	checkStats("OpStats", snap, err)
+
+	const batches, queued = `pmserver_shard_batches{shard="0"}`, `pmserver_shard_queue_len{shard="0"}`
+	resp := srv.metricsResponse()
+	if resp.Status != StatusOK {
 		t.Fatalf("metrics: %+v", resp)
 	}
-	if after := srv.shards[0].view().Batches; after != before {
-		t.Fatalf("scrape ran %d shard batch(es)", after-before)
+	if got := metricValue(t, string(resp.Val), batches); got != v.Batches {
+		t.Fatalf("metrics: %s = %d, view says %d", batches, got, v.Batches)
+	}
+	if got := metricValue(t, string(resp.Val), queued); got != uint64(v.QueueCap) {
+		t.Fatalf("metrics: %s = %d, want a full queue of %d", queued, got, v.QueueCap)
+	}
+
+	code, body := httpGet(t, "http://"+srv.HTTPAddr()+"/healthz")
+	var rep healthReport
+	if err := json.Unmarshal(body, &rep); err != nil || code != http.StatusOK {
+		t.Fatalf("/healthz: status %d, %v", code, err)
+	}
+	want := flight.ShardState{LogHead: v.LogHead, LogTail: v.LogTail, LogCap: v.LogCap}
+	if hs := rep.Shards[0]; hs.QueueLen != v.QueueCap || hs.LogPass != want.Pass() {
+		t.Fatalf("/healthz shard 0 %+v, view %+v", hs, v)
+	}
+
+	d := srv.buildDump("test")
+	if st := d.ShardStates[0]; st.QueueLen != v.QueueCap || st.LogTail != v.LogTail || st.LogHead != v.LogHead {
+		t.Fatalf("flight dump shard 0 %+v, view %+v", st, v)
+	}
+	if got := metricValue(t, d.Metrics, batches); got != v.Batches {
+		t.Fatalf("flight dump: %s = %d, view says %d", batches, got, v.Batches)
 	}
 }
 

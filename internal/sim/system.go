@@ -122,24 +122,42 @@ func (s *System) LogState() (head, tail, capacity uint64) {
 	return l.Head(), l.Tail(), l.Capacity()
 }
 
-// Snapshot fills out with the machine's published counter vocabulary:
-// the scope ledger, the log window, and the cheap cumulative counters
-// of the engine, caches and NVRAM. A subset of Stats()
-// chosen so it allocates nothing and touches no percentile math —
-// Stats() copies and sorts the latency window, far too heavy for the
-// per-batch publish inside the zero-alloc shard loop. Only meaningful
-// from the goroutine that runs the workload (the Stats contract).
+// Snapshot fills out with every cumulative counter of the machine: the
+// scope ledger, the log window, and the counters the cores, caches,
+// memory controller, NVRAM and logging engine keep. It is the one
+// function that gathers them — Stats builds on it — and it allocates
+// nothing and touches no percentile math, so the zero-alloc shard loop
+// calls it once per batch. The counters of the components Reboot and
+// Attach rebuild (cores, caches, memory controller, engine) restart with
+// them; the ledger's and the NVRAM device's do not. Only meaningful from
+// the goroutine that runs the workload (the Stats contract).
 func (s *System) Snapshot(out *scope.Snapshot) {
-	*out = scope.Snapshot{Ledger: s.scope.Ledger}
+	*out = scope.Snapshot{Ledger: s.scope.Ledger, Cycles: s.WallCycles(), Txns: s.committedTxns}
 	out.LogHead, out.LogTail, out.LogCap = s.LogState()
-	out.Txns = s.committedTxns
-	out.NVRAMWriteBytes = s.nv.Stats().BytesWritten
-	out.FwbFlagged = s.hier.FwbFlaggedTotal()
+	for i, c := range s.cores {
+		cs := c.Stats()
+		out.Instructions += cs.Instructions
+		out.StallCycles += cs.StallCycles
+		l1 := s.hier.L1(i).Stats()
+		out.L1Hits += l1.Hits
+		out.L1Misses += l1.Misses
+		out.FwbFlagged += l1.FwbFlagged
+		out.FwbForced += l1.FwbForced
+	}
+	l2 := s.hier.L2().Stats()
+	out.L2Hits, out.L2Misses = l2.Hits, l2.Misses
+	out.FwbFlagged += l2.FwbFlagged
+	out.FwbForced += l2.FwbForced
+	nvs := s.nv.Stats()
+	out.NVRAMReadBytes, out.NVRAMWriteBytes = nvs.BytesRead, nvs.BytesWritten
+	cs := s.ctl.Stats()
+	out.LogWriteBytes, out.LogBufStalls, out.DataWrites = cs.LogWriteBytes, cs.LogBufStalls, cs.DataWrites
 	switch {
 	case s.eng != nil:
 		es := s.eng.Stats()
 		out.LogAppends = es.Records
 		out.LogTruncated = es.Truncated
+		out.LogGrows = es.Grows
 		out.FwbScans = es.ScansRun
 		out.LiveRecords = s.eng.LiveRecords()
 	case s.swLog != nil:
@@ -148,17 +166,41 @@ func (s *System) Snapshot(out *scope.Snapshot) {
 	}
 }
 
-// Scope returns the machine's persistence-domain cost ledger (never nil
-// after New). Single-writer: only the goroutine driving the machine may
-// read or write it.
-func (s *System) Scope() *scope.Counters { return s.scope }
+// RunOf labels snap's counters with this machine's benchmark, mode and
+// thread count. The derived end-of-run fields (Seconds, the energies,
+// ResidualDirtyBytes, the txn latency percentiles) stay zero: Stats
+// fills them. It reads only configuration fixed at New, so any
+// goroutine may call it with a published snapshot.
+func (s *System) RunOf(snap *scope.Snapshot) stats.Run {
+	return stats.Run{
+		Benchmark:       s.benchName,
+		Mode:            s.spec.Name,
+		Threads:         s.cfg.Threads,
+		Cycles:          snap.Cycles,
+		Instructions:    snap.Instructions,
+		Transactions:    snap.Txns,
+		NVRAMReadBytes:  snap.NVRAMReadBytes,
+		NVRAMWriteBytes: snap.NVRAMWriteBytes,
+		LogWriteBytes:   snap.LogWriteBytes,
+		L1Hits:          snap.L1Hits,
+		L1Misses:        snap.L1Misses,
+		L2Hits:          snap.L2Hits,
+		L2Misses:        snap.L2Misses,
+		StallCycles:     snap.StallCycles,
+		FwbScans:        snap.FwbScans,
+		FwbForced:       snap.FwbForced,
+		LogAppends:      snap.LogAppends,
+		LogBufStalls:    snap.LogBufStalls,
+		LogTruncated:    snap.LogTruncated,
+		LogGrows:        snap.LogGrows,
+	}
+}
 
 // wireScope pushes the System-owned scope ledger into every component
 // with accounting hooks. Like wireTracer/wireChaos it runs at
 // construction and again after Reboot/Attach rebuild the volatile
 // components, so cost history accumulates across simulated crashes.
 func (s *System) wireScope() {
-	s.ctl.SetScope(s.scope)
 	s.hier.SetScope(s.scope)
 	if s.eng != nil {
 		s.eng.SetScope(s.scope)
@@ -610,29 +652,14 @@ func (s *System) WallCycles() uint64 {
 	return max
 }
 
-// Stats assembles the run's metric bundle.
+// Stats assembles the run's metric bundle: the Snapshot counters plus
+// the derived end-of-run fields, which walk the caches and sort the
+// latency window.
 func (s *System) Stats() stats.Run {
-	r := stats.Run{
-		Benchmark: s.benchName,
-		Mode:      s.spec.Name,
-		Threads:   s.cfg.Threads,
-		Cycles:    s.WallCycles(),
-	}
+	var snap scope.Snapshot
+	s.Snapshot(&snap)
+	r := s.RunOf(&snap)
 	r.Seconds = s.cfg.CPU.CyclesToSeconds(r.Cycles)
-	var l1a, l2a uint64
-	for i, c := range s.cores {
-		cs := c.Stats()
-		r.Instructions += cs.Instructions
-		r.StallCycles += cs.StallCycles
-		l1s := s.hier.L1(i).Stats()
-		r.L1Hits += l1s.Hits
-		r.L1Misses += l1s.Misses
-		l1a += l1s.Hits + l1s.Misses
-	}
-	l2s := s.hier.L2().Stats()
-	r.L2Hits, r.L2Misses = l2s.Hits, l2s.Misses
-	l2a = l2s.Hits + l2s.Misses
-	r.Transactions = s.committedTxns
 	if len(s.txnLatencies) > 0 {
 		lat := make([]uint64, len(s.txnLatencies))
 		copy(lat, s.txnLatencies)
@@ -640,11 +667,7 @@ func (s *System) Stats() stats.Run {
 		r.TxnLatencyP99 = stats.Percentile(lat, 99)
 		r.TxnLatencyMax = lat[len(lat)-1]
 	}
-
-	nvs := s.nv.Stats()
-	r.NVRAMReadBytes = nvs.BytesRead
-	r.NVRAMWriteBytes = nvs.BytesWritten
-	r.MemEnergyPJ = nvs.EnergyPJ
+	nvEnergy := s.nv.Stats().EnergyPJ
 	dirty := s.hier.L2().DirtyCount()
 	for i := range s.cores {
 		dirty += s.hier.L1(i).DirtyCount()
@@ -652,27 +675,9 @@ func (s *System) Stats() stats.Run {
 	r.ResidualDirtyBytes = uint64(dirty) * mem.LineSize
 	// The deferred write-backs also carry deferred write energy; charge it
 	// so no-force designs compare fairly against never-writing baselines.
-	r.MemEnergyPJ += float64(r.ResidualDirtyBytes*8) *
-		(s.cfg.NVRAM.ArrayWritePJPerBit + s.cfg.NVRAM.RowBufWritePJPerBit)
-	cs := s.ctl.Stats()
-	r.LogWriteBytes = cs.LogWriteBytes
-	r.LogBufStalls = cs.LogBufStalls
-	if s.eng != nil {
-		es := s.eng.Stats()
-		r.FwbScans = es.ScansRun
-		r.FwbForced = 0
-		for i := range s.cores {
-			r.FwbForced += s.hier.L1(i).Stats().FwbForced
-		}
-		r.FwbForced += l2s.FwbForced
-		r.LogAppends = es.Records
-		r.LogTruncated = es.Truncated
-		r.LogGrows = es.Grows
-	}
-	if s.swLog != nil {
-		r.LogAppends = s.swLog.Stats().Appends
-	}
-	b := s.cfg.Energy.Account(r.Instructions, l1a, l2a, nvs.EnergyPJ)
+	r.MemEnergyPJ = nvEnergy + float64(r.ResidualDirtyBytes*8)*
+		(s.cfg.NVRAM.ArrayWritePJPerBit+s.cfg.NVRAM.RowBufWritePJPerBit)
+	b := s.cfg.Energy.Account(r.Instructions, r.L1Hits+r.L1Misses, r.L2Hits+r.L2Misses, nvEnergy)
 	r.ProcEnergyPJ = b.ProcessorPJ
 	return r
 }
