@@ -68,10 +68,9 @@ func checkUnlockScope(pass *Pass, sc scope) {
 		return false
 	}
 	for _, l := range unreleased(pass, sc, lock, unlocks) {
-		acq, _ := lockCall(pass.Info, l.call, "Lock", "RLock")
 		pass.Reportf(l.call.Pos(),
 			"%s: %s has a path to return without %s (%s); a leaked lock wedges the next entrant",
-			sc.name, acq, l.key, l.path)
+			sc.name, strings.TrimSuffix(l.key, "Unlock")+"Lock", l.key, l.path)
 	}
 }
 

@@ -56,7 +56,7 @@ func primEffect(fn *types.Func) effect {
 
 // ackSendEffect reports whether s sends on a client-facing server
 // channel: element type Response or *connReq from the server package.
-// Stats-probe channels (ShardStats) are not acks.
+// Only those sends count as acks.
 func ackSendEffect(info *types.Info, s *ast.SendStmt) effect {
 	tv, ok := info.Types[s.Chan]
 	if !ok {
