@@ -1,30 +1,15 @@
 package pmemlog
 
-// One testing.B benchmark per table and figure of the paper's evaluation
-// (Section VI). Each benchmark executes the simulations that regenerate
-// the corresponding result and reports the headline quantity as a custom
-// metric, so `go test -bench=. -benchmem` reproduces the whole evaluation:
-//
-//	BenchmarkTable1HardwareOverhead  Table I   (bytes of added state)
-//	BenchmarkTable2Configuration     Table II  (sanity of the machine)
-//	BenchmarkTable3Microbenchmarks   Table III (one run per benchmark)
-//	BenchmarkFig6Throughput          Fig 6     (fwb speedup vs unsafe-base)
-//	BenchmarkFig7IPC                 Fig 7     (IPC + instruction ratios)
-//	BenchmarkFig8Energy              Fig 8     (memory energy reduction)
-//	BenchmarkFig9Traffic             Fig 9     (NVRAM write reduction)
-//	BenchmarkFig10Whisper            Fig 10    (WHISPER, fwb vs unsafe-base)
-//	BenchmarkFig11aLogBuffer         Fig 11a   (log buffer sweep)
-//	BenchmarkFig11bFwbFreq           Fig 11b   (scan interval law)
-//
-// Plus ablations for the design choices DESIGN.md calls out.
+// Benchmarks for what cmd/experiments does not regenerate: ablations of
+// the design choices DESIGN.md §7 calls out, the observability tax, and
+// raw simulator speed. Every table and figure of the paper's evaluation
+// (Section VI) has one driver, cmd/experiments.
 
 import (
+	"strconv"
 	"testing"
 
 	"pmemlog/internal/bench"
-	"pmemlog/internal/core"
-	"pmemlog/internal/mem"
-	"pmemlog/internal/nvlog"
 )
 
 // benchParams is small enough for tight benchmark iterations while staying
@@ -33,8 +18,6 @@ func benchParams() Params {
 	p := QuickParams()
 	p.Elements = 8192
 	p.TxnsPerThread = 100
-	p.WhisperRecords = 2048
-	p.WhisperTxns = 100
 	p.L2Bytes = 128 << 10
 	p.LogBytes = 512 << 10
 	return p
@@ -47,146 +30,6 @@ func mustRunMicro(b *testing.B, name string, m Mode, threads int, p Params) Run 
 		b.Fatal(err)
 	}
 	return r
-}
-
-func BenchmarkTable1HardwareOverhead(b *testing.B) {
-	cfg := DefaultConfig(FWB, 8)
-	var logBuf int
-	for i := 0; i < b.N; i++ {
-		t := Table1(cfg)
-		logBuf = len(t.Rows)
-	}
-	b.ReportMetric(float64(logBuf), "rows")
-	b.ReportMetric(float64(cfg.Memctl.LogBufferEntries*mem.LineSize), "logbuf-bytes")
-}
-
-func BenchmarkTable2Configuration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig(FWB, 8)
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = sys
-	}
-}
-
-func BenchmarkTable3Microbenchmarks(b *testing.B) {
-	p := benchParams()
-	for _, name := range MicroBenchNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := mustRunMicro(b, name, FWB, 1, p)
-				b.ReportMetric(r.Throughput(), "tx/s")
-			}
-		})
-	}
-}
-
-// fig6Cell runs the three designs Fig 6's headline compares and reports
-// fwb's speedups.
-func BenchmarkFig6Throughput(b *testing.B) {
-	p := benchParams()
-	for _, name := range MicroBenchNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				base := mustRunMicro(b, name, SWRedo, 1, p)
-				u := mustRunMicro(b, name, SWUndo, 1, p)
-				if u.Throughput() > base.Throughput() {
-					base = u // unsafe-base = better of the two
-				}
-				fwb := mustRunMicro(b, name, FWB, 1, p)
-				clwb := mustRunMicro(b, name, SWUndoClwb, 1, p)
-				b.ReportMetric(fwb.Speedup(base), "x-vs-unsafe")
-				b.ReportMetric(fwb.Speedup(clwb), "x-vs-undo-clwb")
-			}
-		})
-	}
-}
-
-func BenchmarkFig7IPC(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		base := mustRunMicro(b, "hash", SWRedo, 1, p)
-		fwb := mustRunMicro(b, "hash", FWB, 1, p)
-		np := mustRunMicro(b, "hash", NonPers, 1, p)
-		b.ReportMetric(fwb.IPCSpeedup(base), "ipc-x-vs-unsafe")
-		b.ReportMetric(base.InstrRatio(np), "sw-instr-x-vs-nonpers")
-		b.ReportMetric(fwb.InstrRatio(np), "fwb-instr-x-vs-nonpers")
-	}
-}
-
-func BenchmarkFig8Energy(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		base := mustRunMicro(b, "hash", SWRedo, 1, p)
-		fwb := mustRunMicro(b, "hash", FWB, 1, p)
-		clwb := mustRunMicro(b, "hash", SWUndoClwb, 1, p)
-		b.ReportMetric(fwb.EnergyReduction(base), "fwb-energy-reduction")
-		b.ReportMetric(clwb.EnergyReduction(base), "clwb-energy-reduction")
-	}
-}
-
-func BenchmarkFig9Traffic(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		base := mustRunMicro(b, "hash", SWRedo, 1, p)
-		fwb := mustRunMicro(b, "hash", FWB, 1, p)
-		clwb := mustRunMicro(b, "hash", SWUndoClwb, 1, p)
-		b.ReportMetric(fwb.TrafficReduction(base), "fwb-write-reduction")
-		b.ReportMetric(clwb.TrafficReduction(base), "clwb-write-reduction")
-	}
-}
-
-func BenchmarkFig10Whisper(b *testing.B) {
-	p := benchParams()
-	for _, kernel := range WhisperNames() {
-		kernel := kernel
-		b.Run(kernel, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				base, err := RunWhisper(kernel, SWRedo, 2, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fwb, err := RunWhisper(kernel, FWB, 2, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(fwb.Speedup(base), "x-vs-unsafe")
-				b.ReportMetric(fwb.TrafficReduction(base), "write-reduction")
-			}
-		})
-	}
-}
-
-func BenchmarkFig11aLogBuffer(b *testing.B) {
-	p := benchParams()
-	for _, entries := range Fig11aSizes() {
-		entries := entries
-		b.Run(itoaInt(entries)+"entries", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := Fig11aPoint(entries, 1, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Throughput(), "tx/s")
-			}
-		})
-	}
-}
-
-func BenchmarkFig11bFwbFreq(b *testing.B) {
-	nv := DefaultConfig(FWB, 1).NVRAM
-	var last uint64
-	for i := 0; i < b.N; i++ {
-		for _, sz := range Fig11bSizes() {
-			logCfg := nvlog.Config{Base: 0, SizeBytes: sz, Style: nvlog.UndoRedo}
-			last = core.DeriveScanInterval(logCfg, nv)
-		}
-	}
-	b.ReportMetric(float64(last), "cycles-at-16MB")
 }
 
 // --- Ablations (DESIGN.md §7) ---
@@ -207,7 +50,7 @@ func BenchmarkAblationFwbVsHwl(b *testing.B) {
 func BenchmarkAblationLogSize(b *testing.B) {
 	for _, kb := range []uint64{128, 512, 2048} {
 		kb := kb
-		b.Run(itoaInt(int(kb))+"KB", func(b *testing.B) {
+		b.Run(strconv.Itoa(int(kb))+"KB", func(b *testing.B) {
 			p := benchParams()
 			p.LogBytes = kb << 10
 			for i := 0; i < b.N; i++ {
@@ -284,7 +127,7 @@ func BenchmarkAblationFwbInterval(b *testing.B) {
 func BenchmarkAblationThreadScaling(b *testing.B) {
 	for _, th := range []int{1, 2, 4, 8} {
 		th := th
-		b.Run(itoaInt(th)+"t", func(b *testing.B) {
+		b.Run(strconv.Itoa(th)+"t", func(b *testing.B) {
 			p := benchParams()
 			for i := 0; i < b.N; i++ {
 				r := mustRunMicro(b, "hash", FWB, th, p)
@@ -368,26 +211,4 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 		txns += r.Transactions
 	}
 	b.ReportMetric(float64(txns)/b.Elapsed().Seconds(), "sim-tx/s")
-}
-
-func itoaInt(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

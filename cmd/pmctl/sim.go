@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"pmemlog"
@@ -16,7 +15,7 @@ import (
 //	pmctl sim -bench hash -mode fwb -threads 4
 //	pmctl sim -suite whisper -bench tpcc -mode fwb
 //	pmctl sim -bench rbtree -mode fwb -values str -elements 65536 -txns 1000
-//	pmctl sim -bench hash -mode fwb -compare       # run all 9 designs
+//	pmctl sim -bench hash -mode fwb -compare       # run all 8 designs
 func declareSim(fs *flag.FlagSet) func(*env) int {
 	var (
 		in        = declareSimInput(fs, simDefaults{threads: 1})
@@ -25,8 +24,6 @@ func declareSim(fs *flag.FlagSet) func(*env) int {
 		logBuf    = fs.Int("log-buffer", -1, "log buffer entries (-1 = 15)")
 		compare   = fs.Bool("compare", false, "run every design and print a comparison")
 		perThread = fs.Bool("per-thread-logs", false, "distributed per-thread logs (Section III-F)")
-		record    = fs.String("record", "", "record the workload's operation trace to this file")
-		replay    = fs.String("replay", "", "replay a recorded trace instead of running the workload live")
 		full      = fs.Bool("full", false, "report-quality sizes (slower)")
 		csv       = fs.Bool("csv", false, "CSV output")
 		jsonOut   = declareJSON(fs)
@@ -53,20 +50,6 @@ func declareSim(fs *flag.FlagSet) func(*env) int {
 			modes = []pmemlog.Mode{m}
 		}
 
-		var tr *pmemlog.Trace
-		if *replay != "" {
-			f, err := os.Open(*replay)
-			if err != nil {
-				return e.fail(1, err)
-			}
-			tr, err = pmemlog.ReadTrace(f)
-			f.Close()
-			if err != nil {
-				return e.fail(1, err)
-			}
-			fmt.Fprintf(e.errw, "replaying %d recorded operations from %s\n", tr.Ops(), *replay)
-		}
-
 		t := &pmemlog.Table{Header: []string{
 			"mode", "txns", "cycles", "tput(tx/s)", "ipc", "instr",
 			"lat-p50", "lat-p99", "nvram-wr-B", "log-B", "mem-energy-uJ",
@@ -78,20 +61,6 @@ func declareSim(fs *flag.FlagSet) func(*env) int {
 			switch {
 			case *mix != "":
 				r, err = pmemlog.RunMixedMicro(strings.Split(*mix, ","), m, *in.threads, p)
-			case tr != nil:
-				r, err = pmemlog.ReplayMicro(tr, *in.bench, m, *in.threads, p)
-			case *record != "" && *suite != "whisper":
-				var rec *pmemlog.Trace
-				rec, r, err = pmemlog.RecordMicro(*in.bench, m, *in.threads, p)
-				if err == nil {
-					var f *os.File
-					if f, err = os.Create(*record); err == nil {
-						_, err = rec.WriteTo(f)
-						if cerr := f.Close(); err == nil {
-							err = cerr
-						}
-					}
-				}
 			case *suite == "whisper":
 				r, err = pmemlog.RunWhisper(*in.bench, m, *in.threads, p)
 			default:

@@ -104,8 +104,8 @@ func (p Params) micro(name string, threads int, seed int64) (bench.Workload, err
 }
 
 // populate builds the (mode, threads) machine p describes and sets w up
-// on it — how every harness entry point (run, trace, record, replay)
-// gets from a workload name to a machine ready to run.
+// on it — how every harness entry point (run, trace) gets from a
+// workload name to a machine ready to run.
 func (p Params) populate(name string, w workload, mode Mode, threads int) (*System, error) {
 	sys, err := NewSystem(p.Config(mode, threads))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestModesAreFunctionallyEquivalent is the cross-design differential
-// check: the nine designs differ ONLY in how they make updates durable,
+// check: the eight designs differ ONLY in how they make updates durable,
 // so running the same seeded workload under each must leave byte-identical
 // visible state in every data structure. A divergence would mean a logging
 // path corrupted data (e.g. an undo capture racing the store).

@@ -2,7 +2,7 @@
 // sweeps seeds across a scenario matrix, runs each (scenario, seed) pair
 // as one fully instrumented fault-injection run, and audits every run
 // with the same machinery pmctl doctor -strict uses — recovery replay for
-// the simulated machine, flight-dump analysis (verdict-vs-replay
+// the simulated machine, flight-dump analysis (verdict against replay
 // agreement, acked-write loss) for the server.
 //
 // It lives below cmd/pmchaos and above everything else: internal/chaos

@@ -11,7 +11,7 @@ import (
 // bar from the campaign's contract, one row per scenario: every armed
 // fault site must actually fire (or at least be exercised) and the run
 // must come out clean — recovery rebuilt exactly the committed state
-// for hardware faults, no acked write lost and full verdict-vs-replay
+// for hardware faults, no acked write lost and full verdict against replay
 // agreement for network faults (including the conn-drop-mid-window
 // path, which forces the client through reconnect-and-resend).
 func TestEveryFaultSiteToleratedOrDetected(t *testing.T) {

@@ -26,16 +26,6 @@ var Logbeforedata = &Analyzer{
 	Run:  runLogbeforedata,
 }
 
-const tracePkg = "pmemlog/internal/trace"
-
-// lbdExempt packages implement or replay the contract rather than obey
-// it: sim owns the Ctx machinery; trace replays a recorded op stream
-// whose ordering was established by the run that recorded it.
-var lbdExempt = map[string]bool{
-	simPkg:   true,
-	tracePkg: true,
-}
-
 func runLogbeforedata(pass *Pass) {
 	for _, f := range pass.Mod.logBeforeDataFindings() {
 		if f.pkg.Types == pass.Pkg {
@@ -81,7 +71,9 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 		sums[fi.obj] = &lbdSum{}
 	}
 	analyzed := func(fi *fnInfo) bool {
-		if lbdExempt[fi.pkg.Path] {
+		// sim implements the contract rather than obeying it: it owns
+		// the Ctx machinery.
+		if fi.pkg.Path == simPkg {
 			return false
 		}
 		// A method literally named Store/StoreBytes is a forwarding

@@ -1,4 +1,4 @@
-// Package recovery stubs the log-replay recovery procedure. It mutates
+// Package recovery stubs the log replay recovery procedure. It mutates
 // the image directly — that is its job — and serves as the nobackdoor
 // analyzer's negative case: an exempt package full of raw writes that
 // must produce zero findings.

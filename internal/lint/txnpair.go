@@ -18,15 +18,9 @@ var Txnpair = &Analyzer{
 }
 
 func runTxnpair(pass *Pass) {
-	// The trace package replays recorded op streams: its TxBegin/TxCommit
-	// calls are driven by data whose pairing the recording run
-	// established, so no static path proof can (or needs to) hold there.
-	replay := pass.Pkg.Path() == tracePkg
 	for _, file := range pass.Files {
 		for _, fd := range funcScopes(file) {
-			if !replay {
-				checkCtxPairing(pass, fd)
-			}
+			checkCtxPairing(pass, fd)
 			checkEnginePairing(pass, fd)
 		}
 	}

@@ -172,7 +172,6 @@ type Controller struct {
 	maxDrainDone uint64 // completion high-water mark of ALL issued drains
 
 	pending []pendingWrite
-	wbHook  func(addr mem.Addr, done uint64)
 
 	// chaos, when armed via SetChaos (sim construction only — pmlint's
 	// chaosonly rule), injects torn log lines and partial drains at
@@ -219,12 +218,6 @@ func (c *Controller) NVRAM() *nvram.Device { return c.nv }
 // layer's construction path may call this — never production server
 // defaults (enforced by pmlint's chaosonly rule).
 func (c *Controller) SetChaos(in *chaos.Injector) { c.chaos = in }
-
-// SetWriteBackHook registers a callback invoked for every NVRAM *data*
-// write with its completion cycle. The hardware logging engine uses it to
-// learn when dirty persistent lines became durable, gating circular-log
-// truncation (Section II-C's overwrite-safety condition).
-func (c *Controller) SetWriteBackHook(fn func(addr mem.Addr, done uint64)) { c.wbHook = fn }
 
 func (c *Controller) isNVRAM(addr mem.Addr) bool {
 	return c.nv.Image().Contains(addr.Line(), mem.LineSize)
@@ -286,9 +279,6 @@ func (c *Controller) WriteBackLine(now uint64, addr mem.Addr, src *mem.Line) uin
 		c.stats.DataWrites++
 		c.stats.DataWriteBytes += mem.LineSize
 		c.tracer.Emit(c.traceRing, done, obs.KindWriteBack, 0, uint64(addr))
-		if c.wbHook != nil {
-			c.wbHook(addr, done)
-		}
 		return done
 	}
 	c.dr.Image().WriteLine(addr, src)

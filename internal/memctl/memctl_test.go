@@ -68,24 +68,6 @@ func TestRoutingNVRAMvsDRAM(t *testing.T) {
 	}
 }
 
-func TestWriteBackHook(t *testing.T) {
-	c := testCtl(t, 4, 8)
-	var hookAddr mem.Addr
-	var hookDone uint64
-	c.SetWriteBackHook(func(a mem.Addr, d uint64) { hookAddr, hookDone = a, d })
-	var ln mem.Line
-	done := c.WriteBackLine(10, nvBase+64, &ln)
-	if hookAddr != nvBase+64 || hookDone != done {
-		t.Errorf("hook got (%v,%d), want (%v,%d)", hookAddr, hookDone, nvBase+64, done)
-	}
-	// DRAM writes must not fire the hook.
-	hookAddr = 0
-	c.WriteBackLine(10, 0x40, &ln)
-	if hookAddr != 0 {
-		t.Error("hook fired for DRAM write")
-	}
-}
-
 func TestWCBCoalescing(t *testing.T) {
 	c := testCtl(t, 4, 8)
 	// Two word writes to the same line coalesce into one slot; a drain

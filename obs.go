@@ -23,7 +23,11 @@ type (
 // beyond it). Population/setup is not traced — recording starts at the
 // measured region, like the stats themselves.
 func TraceMicro(benchName string, mode Mode, threads int, p Params, perRing int) ([]TraceEvent, []string, Run, error) {
-	w, sys, err := buildMicro(benchName, mode, threads, p)
+	w, err := p.micro(benchName, threads, p.Seed)
+	if err != nil {
+		return nil, nil, Run{}, err
+	}
+	sys, err := p.populate(benchName, w, mode, threads)
 	if err != nil {
 		return nil, nil, Run{}, err
 	}
