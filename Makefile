@@ -60,7 +60,7 @@ bench-baseline:
 
 # perf guards the wall-clock path (DESIGN.md §11): the zero-allocation
 # tests on the nvlog append and shard apply hot paths and the simulator's
-# hand-off guard (goroutine switches only on a real switch), then a smoke run
+# hand-off guard (coroutine switches only on a real switch), then a smoke run
 # (~65 s) of pmbench, the repo's benchmark (BENCHMARK.json, benchmark/):
 # four value-checked workloads writing benchmark/out/result.json.
 # Wall-clock numbers vary by host; benchmark/out/reference.json is the

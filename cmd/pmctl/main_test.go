@@ -9,7 +9,8 @@ import (
 // TestDispatch pins the subcommand surface: a missing or unknown
 // subcommand prints the subcommand list on stderr and exits 2, and
 // `pmctl <sub> -h` lists that subcommand's flags — its shared group and
-// its own — and nobody else's.
+// its own — and nobody else's. Flag combinations sim cannot honour exit 2
+// with a message.
 func TestDispatch(t *testing.T) {
 	simGroup := []string{"-bench", "-mode", "-threads", "-elements", "-txns", "-log-kb"}
 	dumpGroup := []string{"-dump", "-images", "-no-images", "-json"}
@@ -46,6 +47,14 @@ func TestDispatch(t *testing.T) {
 			want: []string{"usage: pmctl top [flags]"}},
 		{name: "two dumps", args: []string{"scope", "a.json", "b.json"}, wantExit: 2,
 			want: []string{"usage: pmctl scope [flags] [dump.json]"}},
+		{name: "sim -mix with whisper", args: []string{"sim", "-suite", "whisper", "-bench", "tpcc", "-mix", "hash,sps"}, wantExit: 2,
+			want: []string{"-mix runs microbenchmarks"}},
+		{name: "sim -values str with whisper", args: []string{"sim", "-suite", "whisper", "-bench", "tpcc", "-values", "str"}, wantExit: 2,
+			want: []string{"-values str is for microbenchmarks"}},
+		{name: "sim -values unknown", args: []string{"sim", "-values", "float"}, wantExit: 2,
+			want: []string{`-values "float": want micro or whisper, and int or str`}},
+		{name: "sim -suite unknown", args: []string{"sim", "-suite", "splash"}, wantExit: 2,
+			want: []string{`-suite "splash" -values "int": want micro or whisper`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -27,9 +28,21 @@ func declareSim(fs *flag.FlagSet) func(*env) int {
 		full      = fs.Bool("full", false, "report-quality sizes (slower)")
 		csv       = fs.Bool("csv", false, "CSV output")
 		jsonOut   = declareJSON(fs)
-		mix       = fs.String("mix", "", "comma-separated microbenchmarks to run CONCURRENTLY, -threads each (e.g. -mix hash,tpcc is 2 benches x threads)")
+		mix       = fs.String("mix", "", "comma-separated microbenchmarks to run CONCURRENTLY, -threads each (e.g. -mix hash,sps is 2 benches x threads)")
 	)
 	return func(e *env) int {
+		switch {
+		case *suite != "micro" && *suite != "whisper", *values != "int" && *values != "str":
+			return e.fail(2, fmt.Errorf("-suite %q -values %q: want micro or whisper, and int or str", *suite, *values))
+		case *suite == "whisper" && *mix != "":
+			return e.fail(2, errors.New("-mix runs microbenchmarks; it does not combine with -suite whisper"))
+		case *suite == "whisper" && *values == "str":
+			return e.fail(2, errors.New("-values str is for microbenchmarks; it does not combine with -suite whisper"))
+		}
+		label := *suite + " / " + *in.bench
+		if *mix != "" {
+			label = "mix " + *mix
+		}
 		base := pmemlog.QuickParams()
 		if *full {
 			base = pmemlog.FullParams()
@@ -80,7 +93,7 @@ func declareSim(fs *flag.FlagSet) func(*env) int {
 		case *csv:
 			fmt.Fprint(e.out, t.CSV())
 		default:
-			fmt.Fprintf(e.out, "%s / %s / %d thread(s)\n\n%s", *suite, *in.bench, *in.threads, t)
+			fmt.Fprintf(e.out, "%s / %d thread(s)\n\n%s", label, *in.threads, t)
 		}
 		return 0
 	}

@@ -36,7 +36,7 @@ func TestInjectedViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gomod := "module probe\n\ngo 1.22\n\nrequire pmemlog v0.0.0-00010101000000-000000000000\n\nreplace pmemlog => " + abs + "\n"
+	gomod := "module probe\n\ngo 1.23\n\nrequire pmemlog v0.0.0-00010101000000-000000000000\n\nreplace pmemlog => " + abs + "\n"
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestStaleAllowFailsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gomod := "module probe\n\ngo 1.22\n\nrequire pmemlog v0.0.0-00010101000000-000000000000\n\nreplace pmemlog => " + abs + "\n"
+	gomod := "module probe\n\ngo 1.23\n\nrequire pmemlog v0.0.0-00010101000000-000000000000\n\nreplace pmemlog => " + abs + "\n"
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
 		t.Fatal(err)
 	}

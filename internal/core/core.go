@@ -549,9 +549,7 @@ func (e *Engine) unwedge(now uint64, ls *logState) (uint64, error) {
 		}
 		if head.kind == nvlog.KindUpdate {
 			done, _ := e.hier.Flush(now, 0, head.line)
-			if d := e.ctl.LineWriteDone(head.line); d > done {
-				done = d
-			}
+			done = e.ctl.LineWriteDone(head.line, done)
 			e.stats.EmergencyFlush++
 			// The write-back must complete before the record is overwritten.
 			if n := e.truncateLog(done, ls); n > 0 {
@@ -731,7 +729,7 @@ func (e *Engine) truncateLog(now uint64, ls *logState) uint64 {
 			break
 		}
 		if meta.kind == nvlog.KindUpdate {
-			if e.hier.DirtyAnywhere(meta.line) || e.ctl.InFlightLine(meta.line, now) {
+			if e.hier.DirtyAnywhere(meta.line) || e.ctl.LineWriteDone(meta.line, now) > now {
 				break
 			}
 		}

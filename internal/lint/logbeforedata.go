@@ -144,7 +144,7 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 				report(fi, funcName(fi.decl), h)
 			}
 		}
-		// Workload closures handed to System.Run/RunN start definitely
+		// Workload closures handed to System.RunN start definitely
 		// out of transaction: check each as a root.
 		for _, lit := range runLits(fi) {
 			if h := m.lbdSearch(fi, m.graph(lit.Body), lbdOut, sums); h != nil {
@@ -155,8 +155,7 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 	return m.lbdFindings
 }
 
-// runLits collects function literals passed (possibly inside a slice
-// literal) to System.Run or System.RunN inside fi.
+// runLits collects function literals passed to System.RunN inside fi.
 func runLits(fi *fnInfo) []*ast.FuncLit {
 	var out []*ast.FuncLit
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
@@ -165,7 +164,7 @@ func runLits(fi *fnInfo) []*ast.FuncLit {
 			return true
 		}
 		fn := calleeOf(fi.pkg.Info, call)
-		if !isFunc(fn, simPkg, "System", "Run") && !isFunc(fn, simPkg, "System", "RunN") {
+		if !isFunc(fn, simPkg, "System", "RunN") {
 			return true
 		}
 		for _, arg := range call.Args {

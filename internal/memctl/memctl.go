@@ -447,32 +447,20 @@ func (c *Controller) DrainBuffers(now uint64) uint64 {
 	return now
 }
 
-// InFlightLine reports whether any NVRAM write touching addr's line is
-// still in flight (applied to the image but completing after now). The
-// hardware logging engine consults this before truncating log records: a
-// line is only durable once its write-back has actually reached the DIMM.
-func (c *Controller) InFlightLine(addr mem.Addr, now uint64) bool {
+// LineWriteDone returns the latest completion cycle among NVRAM writes to
+// addr's line that complete after cycle after, or after if none does. Log
+// truncation needs LineWriteDone(addr, now) == now: a line is only durable
+// once its write-back has actually reached the DIMM.
+func (c *Controller) LineWriteDone(addr mem.Addr, after uint64) uint64 {
 	line := addr.Line()
-	for i := len(c.pending) - 1; i >= 0; i-- {
-		p := &c.pending[i]
-		if p.done > now && p.addr.Line() == line {
-			return true
-		}
-	}
-	return false
-}
-
-// LineWriteDone returns the latest completion cycle among in-flight NVRAM
-// writes touching addr's line (0 if none).
-func (c *Controller) LineWriteDone(addr mem.Addr) uint64 {
-	line := addr.Line()
-	var max uint64
 	for i := range c.pending {
-		if c.pending[i].addr.Line() == line && c.pending[i].done > max {
-			max = c.pending[i].done
+		p := &c.pending[i]
+		if p.done <= after || p.addr.Line() != line {
+			continue // nearly every entry; a loop that only branches scans fastest
 		}
+		after = p.done
 	}
-	return max
+	return after
 }
 
 // Retire discards revert records for writes complete by safeCycle (no

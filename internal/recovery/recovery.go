@@ -56,19 +56,15 @@ type Report struct {
 	RejectedAddrs int `json:"rejected_addrs,omitempty"`
 }
 
-// Recover runs the full procedure against a post-crash NVRAM image.
-// logBase is the log region's base address (held in the special registers
-// which the platform re-derives from firmware configuration).
-func Recover(img *mem.Physical, logBase mem.Addr) (Report, error) {
-	return RecoverAll(img, []mem.Addr{logBase})
-}
-
-// RecoverAll recovers a system using distributed per-thread logs
-// (Section III-F): each region is scanned independently, the surviving
-// records are merged, and the redo/undo passes run over the union. Like
-// the paper, this relies on transaction isolation — no two live
-// transactions (which necessarily live in different logs) touch the same
-// word, so cross-log record order is immaterial.
+// RecoverAll runs the full procedure against a post-crash NVRAM image.
+// logBases are the log regions' base addresses (held in the special
+// registers which the platform re-derives from firmware configuration):
+// one central log, or distributed per-thread logs (Section III-F). Each
+// region is scanned independently, the surviving records are merged, and
+// the redo/undo passes run over the union. Like the paper, this relies on
+// transaction isolation — no two live transactions (which necessarily live
+// in different logs) touch the same word, so cross-log record order is
+// immaterial.
 func RecoverAll(img *mem.Physical, logBases []mem.Addr) (Report, error) {
 	var rep Report
 	if len(logBases) == 0 {

@@ -49,7 +49,7 @@ func TestRedoCommittedTransaction(t *testing.T) {
 	img := buildLog(t, entries, len(entries))
 	img.WriteWord(0x100, 7)
 
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestUndoUncommittedTransaction(t *testing.T) {
 	img := buildLog(t, entries, len(entries))
 	img.WriteWord(0x200, 42) // the "steal" happened
 
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestUndoReversesMultipleUpdatesInOrder(t *testing.T) {
 	}
 	img := buildLog(t, entries, len(entries))
 	img.WriteWord(0x300, 3)
-	if _, err := Recover(img, logBase); err != nil {
+	if _, err := RecoverAll(img, []mem.Addr{logBase}); err != nil {
 		t.Fatal(err)
 	}
 	if got := img.ReadWord(0x300); got != 1 {
@@ -108,7 +108,7 @@ func TestMixedTransactions(t *testing.T) {
 	img := buildLog(t, entries, len(entries))
 	img.WriteWord(0x400, 9) // committed data never written back
 	img.WriteWord(0x440, 6) // uncommitted data stolen into NVRAM
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLostTailEntriesIgnored(t *testing.T) {
 	entries := []nvlog.Entry{header(4), upd(4, 0x500, 1, 2), commit(4)}
 	img := buildLog(t, entries, 2) // commit record never drained
 	img.WriteWord(0x500, 2)
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLostTailEntriesIgnored(t *testing.T) {
 
 func TestEmptyLogRecovers(t *testing.T) {
 	img := buildLog(t, nil, 0)
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,12 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	entries := []nvlog.Entry{header(1), upd(1, 0x600, 3, 4), commit(1)}
 	img := buildLog(t, entries, len(entries))
 	img.WriteWord(0x600, 3)
-	if _, err := Recover(img, logBase); err != nil {
+	if _, err := RecoverAll(img, []mem.Addr{logBase}); err != nil {
 		t.Fatal(err)
 	}
 	first := img.ReadWord(0x600)
 	// A second crash before any new activity: recover again.
-	rep, err := Recover(img, logBase)
+	rep, err := RecoverAll(img, []mem.Addr{logBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 func TestRecoveryResetsPointersPreservingSequence(t *testing.T) {
 	entries := []nvlog.Entry{header(1), upd(1, 0x700, 0, 1), commit(1)}
 	img := buildLog(t, entries, len(entries))
-	if _, err := Recover(img, logBase); err != nil {
+	if _, err := RecoverAll(img, []mem.Addr{logBase}); err != nil {
 		t.Fatal(err)
 	}
 	meta, err := nvlog.ReadMeta(img, logBase)

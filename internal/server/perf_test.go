@@ -26,8 +26,8 @@ func newTestShard(tb testing.TB) *shard {
 // TestShardApplySteadyStateZeroAlloc guards the simulated-machine hot
 // path: once the working set exists (nodes allocated, scratch buffers
 // grown), applying PUT and GET requests must not allocate per op. The
-// measurement runs inside a single RunN so the per-batch costs (worker
-// closures, goroutines) are excluded — those are per batch of up to
+// measurement runs inside a single RunN so the per-batch costs (the
+// thread's coroutine) are excluded — those are per batch of up to
 // BatchMax requests, not per op.
 func TestShardApplySteadyStateZeroAlloc(t *testing.T) {
 	sh := newTestShard(t)

@@ -43,7 +43,7 @@ type Ctx interface {
 // simFault carries a machine error out of workload code.
 type simFault struct{ err error }
 
-// crashFault unwinds workload goroutines when the machine loses power.
+// crashFault unwinds a suspended thread when the machine loses power.
 type crashFault struct{}
 
 type threadCtx struct {
@@ -63,10 +63,11 @@ type threadCtx struct {
 
 	oracleTx *txRecord
 
-	resume   chan struct{}
-	ready    chan struct{}
+	// The thread's coroutine (RunN): next runs it, yieldFn hands back, stop unwinds.
+	next     func() (struct{}, bool)
+	stop     func()
+	yieldFn  func(struct{}) bool
 	finished bool
-	aborted  bool
 	err      error
 }
 
@@ -74,8 +75,6 @@ func newThreadCtx(s *System, id int, c coreIface) *threadCtx {
 	return &threadCtx{
 		s: s, id: id, core: c,
 		writeSet: txn.NewWriteSet(),
-		resume:   make(chan struct{}),
-		ready:    make(chan struct{}),
 	}
 }
 
@@ -103,17 +102,16 @@ func (t *threadCtx) traceTxID() uint16 {
 
 // yield ends every operation with the scheduler's step: housekeeping at
 // global time, then the pick. While this thread is still the pick and no
-// crash is due it simply runs on — exactly what Run would grant — and only
-// otherwise hands the machine back. The other threads are parked on their
-// resume channels, so the state the step reads is quiescent.
+// crash is due it simply runs on — exactly what RunN would grant — and only
+// otherwise hands the machine back. The other threads are suspended
+// coroutines, so the state the step reads is quiescent. A false return
+// means RunN stopped this thread because the machine crashed.
 func (t *threadCtx) yield() {
 	t.s.housekeep()
 	if t.s.pick() == t && !t.s.crashDue(t) {
 		return
 	}
-	t.ready <- struct{}{}
-	<-t.resume
-	if t.aborted {
+	if !t.yieldFn(struct{}{}) {
 		panic(crashFault{})
 	}
 }
@@ -123,7 +121,7 @@ func (t *threadCtx) fault(err error) {
 }
 
 // run executes the workload function, converting panics to results.
-func (t *threadCtx) run(w func(Ctx)) {
+func (t *threadCtx) run(w func(Ctx, int)) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch f := r.(type) {
@@ -140,13 +138,8 @@ func (t *threadCtx) run(w func(Ctx)) {
 			}
 		}
 		t.finished = true
-		t.ready <- struct{}{}
 	}()
-	<-t.resume // wait for the scheduler's first grant
-	if t.aborted {
-		panic(crashFault{})
-	}
-	w(t)
+	w(t, t.id)
 }
 
 func (t *threadCtx) isPersistent(addr mem.Addr) bool {

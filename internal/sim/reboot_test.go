@@ -56,7 +56,7 @@ func TestFullLifecycle(t *testing.T) {
 				t.Errorf("gen2 transactions = %d", s.Stats().Transactions)
 			}
 
-			// Generation 2 crash: the resumed log's torn bits must still
+			// Generation 2 crash: the reopened log's torn bits must still
 			// recover cleanly.
 			s.ScheduleCrash(s.GlobalTime() + 1_500)
 			w3, _ := counterWorkload(s, 2, 60, 8)
@@ -77,7 +77,7 @@ func TestRebootRequiresCrash(t *testing.T) {
 	}
 }
 
-// The resumed log must continue its sequence numbers, not restart at zero
+// The reopened log must continue its sequence numbers, not restart at zero
 // (a restart would make stale records look current to the torn-bit scan).
 func TestRebootResumesLogSequence(t *testing.T) {
 	s := mustSystem(t, smallConfig(txn.FWB, 1))
@@ -94,15 +94,15 @@ func TestRebootResumesLogSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Engine().Log().Tail(); got != rep.TrueTail {
-		t.Errorf("resumed tail = %d, want %d", got, rep.TrueTail)
+		t.Errorf("reopened tail = %d, want %d", got, rep.TrueTail)
 	}
 	if s.Engine().Log().Len() != 0 {
-		t.Errorf("resumed log not empty: %d", s.Engine().Log().Len())
+		t.Errorf("reopened log not empty: %d", s.Engine().Log().Len())
 	}
 }
 
 // The software-logging designs must also survive the full lifecycle (their
-// log is resumed from the same durable metadata).
+// log is reopened from the same durable metadata).
 func TestSoftwareModeLifecycle(t *testing.T) {
 	s := mustSystem(t, smallConfig(txn.SWUndoClwb, 2))
 	w, _ := counterWorkload(s, 2, 40, 8)

@@ -46,7 +46,7 @@ type System struct {
 
 	crashAt uint64 // 0 = no crash scheduled
 	crashed bool
-	grants  uint64 // goroutine hand-offs made by Run (see grant)
+	grants  uint64 // switches into a thread's coroutine made by RunN
 
 	// population records pre-measurement Poke values for the recovery
 	// verifier's replay baseline (oracle mode only).
@@ -502,12 +502,12 @@ func (s *System) Reboot() error {
 // Attach re-attaches a persisted NVRAM image to this (freshly built,
 // never-run) machine: the image is loaded, the four-step recovery
 // procedure runs against it, and the volatile machine state is rebuilt
-// over the recovered image with the log resumed at the pointers recovery
+// over the recovered image with the log reopened at the pointers recovery
 // persisted. It is the cross-process analogue of crash + Recover + Reboot:
 // a server restarting over a DIMM image saved by an earlier process.
 //
 // Attaching an image whose log was migrated by log_grow is not supported
-// (the resumed engine would reopen the abandoned region); size LogBytes so
+// (the reattached engine would reopen the abandoned region); size LogBytes so
 // the log never grows, or disable growing, when images are persisted.
 func (s *System) Attach(r io.Reader) (recovery.Report, error) {
 	if err := s.LoadNVRAM(r); err != nil {
