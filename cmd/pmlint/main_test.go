@@ -45,7 +45,7 @@ func TestInjectedViolations(t *testing.T) {
 import "pmemlog"
 
 func corrupt(sys *pmemlog.System) {
-	sys.Poke(0, 1)
+	sys.NVRAMImage().WriteWord(0, 1)
 }
 
 func leak(ctx pmemlog.Ctx) {

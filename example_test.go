@@ -42,8 +42,9 @@ func ExampleSystem_Recover() {
 	sys, _ := pmemlog.NewSystem(cfg)
 	a, _ := sys.Heap().Alloc(8)
 	b, _ := sys.Heap().Alloc(8)
-	sys.Poke(a, 0)
-	sys.Poke(b, 0)
+	setup := sys.SetupCtx()
+	setup.Store(a, 0)
+	setup.Store(b, 0)
 
 	sys.ScheduleCrash(25_000)
 	err := sys.RunN(func(ctx pmemlog.Ctx, id int) {

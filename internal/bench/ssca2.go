@@ -119,11 +119,6 @@ func (g *SSCA2) Analyze(ctx sim.Ctx, v int) mem.Word {
 // Degree reads v's degree (verification helper).
 func (g *SSCA2) Degree(ctx sim.Ctx, v int) int { return int(ctx.Load(g.vertex(v))) }
 
-// Metric reads v's metric word (verification helper).
-func (g *SSCA2) Metric(ctx sim.Ctx, v int) mem.Word {
-	return ctx.Load(g.vertex(v) + mem.WordSize)
-}
-
 // Run implements Workload: a scale-free mix of insertions (skewed source
 // selection, RMAT-like) and analyses over the thread's vertex partition.
 func (g *SSCA2) Run(ctx sim.Ctx, thread int) {

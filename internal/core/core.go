@@ -145,7 +145,6 @@ type logState struct {
 	records  []recMeta // deque mirroring [head, tail); live window is records[recHead:]
 	recHead  int       // index of the oldest live record
 	dropped  uint64    // records popped since the last log.Truncate call
-	epoch    int       // completed log_grow migrations (sequence numbering era)
 }
 
 // recLen returns the number of live record mirrors.
@@ -206,8 +205,8 @@ type Engine struct {
 	growRegion func(sizeBytes uint64) (mem.Addr, bool)
 	// onTruncated fires when a committed transaction's last live record is
 	// truncated, with the evidence needed to prove data durability after a
-	// crash: once the region's durable head passes LastSeq (same grow
-	// epoch), or any later log_grow's forward pointer became durable, the
+	// crash: once the region's durable head passes LastSeq (same region),
+	// or any later log_grow's forward pointer became durable, the
 	// truncation's enabling data write-backs provably reached NVRAM.
 	onTruncated func(handle uint64, ev TruncEvidence)
 
@@ -357,9 +356,8 @@ func (e *Engine) SetGrowRegion(fn func(sizeBytes uint64) (mem.Addr, bool)) { e.g
 // TruncEvidence is the durability evidence attached to a truncation.
 type TruncEvidence struct {
 	LogIdx  int
-	Epoch   int // grow epoch the LastSeq numbering belongs to
+	Base    mem.Addr // region whose sequence numbering LastSeq belongs to
 	LastSeq uint64
-	Now     uint64
 }
 
 // SetTruncatedHook registers a callback fired when a committed
@@ -613,7 +611,6 @@ func (e *Engine) grow(now uint64, ls *logState) (uint64, error) {
 	if done < now {
 		done = now
 	}
-	ls.epoch++
 	if len(e.logs) == 1 {
 		e.cfg.Log = newCfg
 	}
@@ -701,7 +698,7 @@ func (e *Engine) dropHead(now uint64, ls *logState) {
 		delete(e.liveRecs, meta.handle)
 		delete(e.committed, meta.handle)
 		if wasCommitted && !e.cfg.Unsafe && e.onTruncated != nil {
-			e.onTruncated(meta.handle, TruncEvidence{LogIdx: ls.idx, Epoch: ls.epoch, LastSeq: seq, Now: now})
+			e.onTruncated(meta.handle, TruncEvidence{LogIdx: ls.idx, Base: ls.log.Config().Base, LastSeq: seq})
 		}
 	}
 }

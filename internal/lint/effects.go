@@ -214,9 +214,6 @@ func (m *Module) Graph(body *ast.BlockStmt) *flow.Graph { return m.graph(body) }
 // FuncInfo returns the summary for a module function, nil otherwise.
 func (m *Module) funcInfo(fn *types.Func) *fnInfo { return m.fns[fn] }
 
-// Callers returns the module functions whose bodies call fn.
-func (m *Module) Callers(fn *types.Func) []*fnInfo { return m.callers[fn] }
-
 // callsIn collects the calls that execute when node n executes. FuncLit
 // bodies are skipped — a closure's calls run when the closure runs — but
 // when includeLits is set (DeferStmt nodes: an immediately deferred

@@ -8,8 +8,8 @@
 //
 //	txnpair         every TxBegin reaches a TxCommit; every Engine.Begin
 //	                handle reaches Commit/Abort or is handed off
-//	nobackdoor      raw NVRAM mutation (Poke, Physical.WriteWord, ...) is
-//	                confined to the machine layers, recovery, and tests
+//	nobackdoor      only memctl (the machine's one write path), recovery
+//	                and tests mutate a mem.Physical
 //	quiesceorder    persisting a DIMM image requires a preceding Quiesce
 //	                (drain the log/write-combining buffers first)
 //	lockdiscipline  copied locks, mixed atomic/plain field access, and

@@ -12,27 +12,29 @@ const (
 	pheapPkg = "pmemlog/internal/pheap"
 )
 
-// Nobackdoor confines raw mutation of persistent state to the machine
-// layers and recovery. Everywhere else, a store that does not flow
-// through a transaction Ctx (and so through the hardware undo+redo log)
-// is invisible to recovery: after a crash it may be silently rolled back
-// or, worse, survive half-applied. Population code has a sanctioned
-// untimed path — System.SetupCtx — that records writes in the oracle.
+// Nobackdoor enforces one rule: only the memory controller (and
+// recovery) mutate a mem.Physical. The controller's write is the one
+// path through which the running machine changes its DIMM image, so it is
+// the one place that knows which writes a crash can still revert.
+// Everywhere else, a store that does not flow through a transaction Ctx
+// (and so through the hardware undo+redo log) is invisible to recovery:
+// after a crash it may be silently rolled back or, worse, survive
+// half-applied. Population code has a sanctioned untimed path —
+// System.SetupCtx — that writes through the controller and records the
+// writes in the oracle.
 var Nobackdoor = &Analyzer{
 	Name: "nobackdoor",
-	Doc:  "raw NVRAM/persistent-heap mutation (Poke, Physical.WriteWord, Heap.SetUsed, ...) only in machine layers, recovery, and tests",
+	Doc:  "only memctl and recovery mutate a mem.Physical (Write, WriteWord, WriteLine, CopyFrom), and only re-attach sets Heap.SetUsed; tests exempt",
 	Run:  runNobackdoor,
 }
 
-// nobackdoorExempt lists the packages that ARE the machine or its
-// recovery procedure: below the logged-store pipeline there is nothing to
-// bypass. _test.go files are exempt by construction (the loader checks
-// the non-test compilation unit).
+// nobackdoorExempt lists the packages that own the image: mem itself, the
+// controller that writes it, and recovery, which runs alone on a
+// powered-off image. _test.go files are exempt by construction (the
+// loader checks the non-test compilation unit).
 var nobackdoorExempt = map[string]bool{
-	simPkg:                      true, // owns Poke/SetupCtx and replays images
 	memPkg:                      true, // the physical image itself
-	"pmemlog/internal/nvram":    true, // DIMM model under the controller
-	"pmemlog/internal/memctl":   true, // the controller's drain path
+	"pmemlog/internal/memctl":   true, // the machine's one write path
 	"pmemlog/internal/recovery": true, // log replay writes the image by design
 }
 
@@ -43,10 +45,9 @@ type backdoor struct {
 }
 
 var backdoors = []backdoor{
-	{simPkg, "System", "Poke", "route population through System.SetupCtx, or run a transaction"},
-	{simPkg, "System", "PokeBytes", "route population through System.SetupCtx, or run a transaction"},
 	{memPkg, "Physical", "WriteWord", "stores must go through a transaction Ctx so the HWL engine logs them"},
 	{memPkg, "Physical", "Write", "stores must go through a transaction Ctx so the HWL engine logs them"},
+	{memPkg, "Physical", "WriteLine", "stores must go through a transaction Ctx so the HWL engine logs them"},
 	{memPkg, "Physical", "CopyFrom", "image replacement belongs to sim.System.LoadNVRAM/Attach"},
 	{pheapPkg, "Heap", "SetUsed", "allocator occupancy may only be re-derived when (re)attaching a recovered image"},
 }

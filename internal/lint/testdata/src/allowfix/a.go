@@ -3,39 +3,36 @@
 // directive is itself a finding, and unknown rule names are rejected.
 package allowfix
 
-import (
-	"pmemlog/internal/mem"
-	"pmemlog/internal/sim"
-)
+import "pmemlog/internal/mem"
 
-func allowedTrailing(s *sim.System, a mem.Addr) {
-	s.Poke(a, 1) //pmlint:allow nobackdoor -- fixture: sanctioned population
+func allowedTrailing(img *mem.Physical, a mem.Addr) {
+	img.WriteWord(a, 1) //pmlint:allow nobackdoor -- fixture: reviewed raw write
 }
 
-func allowedStandalone(s *sim.System, a mem.Addr) {
-	//pmlint:allow nobackdoor -- fixture: sanctioned population
-	s.Poke(a, 1)
+func allowedStandalone(img *mem.Physical, a mem.Addr) {
+	//pmlint:allow nobackdoor -- fixture: reviewed raw write
+	img.WriteWord(a, 1)
 }
 
-func allowDoesNotLeak(s *sim.System, a mem.Addr) {
+func allowDoesNotLeak(img *mem.Physical, a mem.Addr) {
 	//pmlint:allow nobackdoor -- covers only the next line
-	s.Poke(a, 1)
-	s.Poke(a, 2) // want "\\(System\\).Poke mutates persistent state"
+	img.WriteWord(a, 1)
+	img.WriteWord(a, 2) // want "\\(Physical\\).WriteWord mutates persistent state"
 }
 
-func allowWrongRule(s *sim.System, a mem.Addr) {
+func allowWrongRule(img *mem.Physical, a mem.Addr) {
 	//pmlint:allow quiesceorder -- inactive rule here: suppresses nothing, reported unused? no: quiesceorder did not run
-	s.Poke(a, 1) // want "\\(System\\).Poke mutates persistent state"
+	img.WriteWord(a, 1) // want "\\(Physical\\).WriteWord mutates persistent state"
 }
 
-func unusedAllow(s *sim.System, a mem.Addr) {
+func unusedAllow(img *mem.Physical, a mem.Addr) {
 	//pmlint:allow nobackdoor -- stale directive: want "unused pmlint:allow directive"
-	_ = s
+	_ = img
 	_ = a
 }
 
-func unknownRule(s *sim.System, a mem.Addr) {
+func unknownRule(img *mem.Physical, a mem.Addr) {
 	//pmlint:allow nosuchrule -- typo: want "unknown rule"
-	_ = s
+	_ = img
 	_ = a
 }

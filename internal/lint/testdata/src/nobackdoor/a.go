@@ -1,5 +1,5 @@
 // Fixtures for the nobackdoor analyzer: raw persistent-state mutation in
-// an ordinary (non-machine, non-recovery) package, and the sanctioned
+// an ordinary (non-memctl, non-recovery) package, and the sanctioned
 // SetupCtx / transaction routes that must pass.
 package nobackdoor
 
@@ -8,11 +8,6 @@ import (
 	"pmemlog/internal/pheap"
 	"pmemlog/internal/sim"
 )
-
-func populateRaw(s *sim.System, base mem.Addr) {
-	s.Poke(base, 1)                 // want "\\(System\\).Poke mutates persistent state"
-	s.PokeBytes(base, []byte{1, 2}) // want "\\(System\\).PokeBytes mutates persistent state"
-}
 
 func populateSanctioned(s *sim.System, base mem.Addr) {
 	setup := s.SetupCtx()
@@ -23,6 +18,7 @@ func populateSanctioned(s *sim.System, base mem.Addr) {
 func mutateImage(img *mem.Physical, a mem.Addr) {
 	img.WriteWord(a, 7)           // want "\\(Physical\\).WriteWord mutates persistent state"
 	img.Write(a, []byte{1})       // want "\\(Physical\\).Write mutates persistent state"
+	img.WriteLine(a, &mem.Line{}) // want "\\(Physical\\).WriteLine mutates persistent state"
 	img.CopyFrom(&mem.Physical{}) // want "\\(Physical\\).CopyFrom mutates persistent state"
 }
 

@@ -21,8 +21,6 @@ func New(cfg Config) (*System, error) { return &System{}, nil }
 // System is one assembled machine instance.
 type System struct{}
 
-func (s *System) Poke(a mem.Addr, w mem.Word)         {}
-func (s *System) PokeBytes(a mem.Addr, b []byte)      {}
 func (s *System) Peek(a mem.Addr) mem.Word            { return 0 }
 func (s *System) Quiesce()                            {}
 func (s *System) SaveNVRAM(w io.Writer) error         { return nil }

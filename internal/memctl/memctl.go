@@ -5,16 +5,18 @@
 // FIFO that coalesces and drains hardware log records to NVRAM
 // (Section IV-C).
 //
-// The controller is the single point where functional NVRAM state changes,
-// which makes crash simulation exact: every NVRAM write is applied eagerly
-// to the image but recorded with its completion cycle and prior contents,
-// so a crash at cycle C reverts precisely the writes that had not yet
-// reached the DIMM. Buffered-but-undrained WCB/log-buffer contents are
-// simply discarded, exactly like a real volatile buffer losing power.
+// The controller is the single point where functional NVRAM state changes
+// (Controller.write), which makes crash simulation exact: every timed
+// NVRAM write is applied eagerly to the image but recorded with its
+// completion cycle and prior contents, so a crash at cycle C reverts
+// precisely the writes that had not yet reached the DIMM.
+// Buffered-but-undrained WCB/log-buffer contents are simply discarded,
+// exactly like a real volatile buffer losing power.
 package memctl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pmemlog/internal/chaos"
 	"pmemlog/internal/dram"
@@ -64,16 +66,25 @@ type Stats struct {
 	CrashReverts   uint64 // writes undone by the last crash
 }
 
-// pendingWrite records an eagerly-applied NVRAM write for crash revert.
-// The prior contents live in a fixed line-sized array (every tracked write
-// is sub-line), so recording a write allocates nothing once the pending
-// slice's capacity has warmed up.
+// writeKind classifies an NVRAM write by what a crash can do to it.
+type writeKind uint8
+
+const (
+	untimed   writeKind = iota // no completion cycle: applied, kept nowhere
+	logWrite                   // a drained log-buffer or WCB slot: torn-log-line tears these
+	dataWrite                  // a dirty line write-back
+)
+
+// pendingWrite records an eagerly-applied timed NVRAM write for crash
+// revert. The prior contents live in a fixed line-sized array (a timed
+// write never crosses a line), so recording a write allocates nothing
+// once the pending slice's capacity has warmed up.
 type pendingWrite struct {
 	start uint64 // cycle the NVRAM bus transfer began
 	done  uint64
 	addr  mem.Addr
 	n     int
-	logw  bool // write carries log records (drain path), not a data line
+	kind  writeKind
 	old   [mem.LineSize]byte
 }
 
@@ -171,7 +182,8 @@ type Controller struct {
 
 	maxDrainDone uint64 // completion high-water mark of ALL issued drains
 
-	pending []pendingWrite
+	pending  []pendingWrite
+	retained int // len(pending) after the last Retire trim
 
 	// chaos, when armed via SetChaos (sim construction only — pmlint's
 	// chaosonly rule), injects torn log lines and partial drains at
@@ -223,18 +235,54 @@ func (c *Controller) isNVRAM(addr mem.Addr) bool {
 	return c.nv.Image().Contains(addr.Line(), mem.LineSize)
 }
 
-// trackedNVWrite applies bytes at addr to the NVRAM image, recording the
-// prior contents for crash revert, with the write completing at done.
-// logw marks log-record transfers (the drain path) so crash-time chaos
-// can tear exactly the class of write the torn-bit scan must survive.
-func (c *Controller) trackedNVWrite(start, done uint64, addr mem.Addr, bytes []byte, logw bool) {
-	if len(bytes) > mem.LineSize {
-		panic(fmt.Sprintf("memctl: tracked NVRAM write of %d bytes exceeds a line", len(bytes)))
-	}
+// write is the one function through which the machine changes its NVRAM
+// image. An untimed write — the boot format, population, image-save
+// points, crash reverts, a drain burst power loss catches mid-way —
+// applies bytes at addr and is kept nowhere. A timed write (log or data)
+// applies the bytes of the line at addr that mask selects: it takes the
+// write queue from issue, occupies the DIMM for those bytes, and records
+// each contiguous run of them with its start and completion cycles and the
+// bytes it replaced, so that a crash before the completion reverts it. It
+// returns the completion cycle (issue when untimed).
+func (c *Controller) write(issue uint64, addr mem.Addr, bytes []byte, mask uint64, kind writeKind) uint64 {
 	img := c.nv.Image()
-	c.pending = append(c.pending, pendingWrite{start: start, done: done, addr: addr, n: len(bytes), logw: logw})
-	img.ReadInto(addr, c.pending[len(c.pending)-1].old[:len(bytes)])
-	img.Write(addr, bytes)
+	if kind == untimed {
+		img.Write(addr, bytes)
+		return issue
+	}
+	start := c.wrQ.start(issue)
+	done := c.nv.Access(start, addr, true, bits.OnesCount64(mask))
+	if kind == dataWrite {
+		if extra, ok := c.chaos.HitArg(chaos.SiteDelayWB, uint64(addr)); ok {
+			// Chaos: this write-back completes late, reordering durability
+			// across banks. Truncation gates on LineWriteDone, so a delayed
+			// completion must only delay truncation, never corrupt it.
+			done += extra
+		}
+	}
+	c.wrQ.commit(done)
+	for m := mask; m != 0; {
+		i := bits.TrailingZeros64(m)
+		n := bits.TrailingZeros64(^(m >> i)) // the run of selected bytes from i
+		m &^= (1<<n - 1) << i
+		c.pending = append(c.pending, pendingWrite{start: start, done: done, addr: addr + mem.Addr(i), n: n, kind: kind})
+		img.ReadInto(addr+mem.Addr(i), c.pending[len(c.pending)-1].old[:n])
+		img.Write(addr+mem.Addr(i), bytes[i:i+n])
+	}
+	return done
+}
+
+// WriteUntimed applies bytes at addr with no completion cycle, so no crash
+// reverts them: log_create's format, setup-time population and a service's
+// image-save-point words.
+func (c *Controller) WriteUntimed(addr mem.Addr, bytes []byte) {
+	c.write(0, addr, bytes, 0, untimed)
+}
+
+// LoadImage replaces the whole NVRAM image with img, of identical geometry
+// (re-attaching a saved DIMM before anything runs).
+func (c *Controller) LoadImage(img *mem.Physical) error {
+	return c.nv.Image().CopyFrom(img)
 }
 
 // FetchLine implements cache.Backing: a demand line read.
@@ -266,16 +314,7 @@ func (c *Controller) WriteBackLine(now uint64, addr mem.Addr, src *mem.Line) uin
 		if d := c.DrainBuffers(now); d > now {
 			now = d
 		}
-		start := c.wrQ.start(now)
-		done := c.nv.Access(start, addr, true, mem.LineSize)
-		if extra, ok := c.chaos.HitArg(chaos.SiteDelayWB, uint64(addr)); ok {
-			// Chaos: this write-back completes late, reordering durability
-			// across banks. Truncation gates on LineWriteDone, so a delayed
-			// completion must only delay truncation, never corrupt it.
-			done += extra
-		}
-		c.wrQ.commit(done)
-		c.trackedNVWrite(start, done, addr, src[:], false)
+		done := c.write(now, addr, src[:], ^uint64(0), dataWrite)
 		c.stats.DataWrites++
 		c.stats.DataWriteBytes += mem.LineSize
 		c.tracer.Emit(c.traceRing, done, obs.KindWriteBack, 0, uint64(addr))
@@ -294,40 +333,16 @@ func (c *Controller) WriteBackLine(now uint64, addr mem.Addr, src *mem.Line) uin
 // completion order, so imposing a cross-slot issue chain would only
 // manufacture phantom stalls out of virtual-clock skew.
 func (c *Controller) drainSlot(now uint64, s *wslot) uint64 {
-	start := now
-	if s.since > start {
-		start = s.since
-	}
-	// Gather the valid byte ranges; the NVRAM transfer moves only the
-	// accumulated bytes (a partially filled WCB entry is a partial write).
-	n := 0
-	for i := 0; i < mem.LineSize; i++ {
-		if s.mask&(1<<uint(i)) != 0 {
-			n++
-		}
-	}
-	if n == 0 {
+	start := max(now, s.since)
+	// The NVRAM transfer moves only the accumulated bytes (a partially
+	// filled WCB entry is a partial write).
+	if s.mask == 0 {
 		return start
 	}
-	start = c.wrQ.start(start)
-	done := c.nv.Access(start, s.line, true, n)
-	c.wrQ.commit(done)
+	done := c.write(start, s.line, s.data[:], s.mask, logWrite)
 	c.tracer.Emit(c.traceRing, done, obs.KindBufDrain, 0, uint64(s.line))
 	if done > c.maxDrainDone {
 		c.maxDrainDone = done
-	}
-	// Apply the valid bytes functionally with revert tracking.
-	for i := 0; i < mem.LineSize; {
-		if s.mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && s.mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		c.trackedNVWrite(start, done, s.line+mem.Addr(i), s.data[i:j], true)
-		i = j
 	}
 	return done
 }
@@ -463,10 +478,13 @@ func (c *Controller) LineWriteDone(addr mem.Addr, after uint64) uint64 {
 	return after
 }
 
-// Retire discards revert records for writes complete by safeCycle (no
-// crash can be injected before the current global time).
+// Retire discards revert records for writes complete by safeCycle: no
+// crash can revert them. The caller never passes a cycle beyond a
+// scheduled crash. The record is trimmed only once it has more than
+// doubled since the last trim, so it stays near the writes in flight and
+// trimming costs amortized O(1) per write.
 func (c *Controller) Retire(safeCycle uint64) {
-	if len(c.pending) < 1024 {
+	if len(c.pending) <= 2*c.retained {
 		return
 	}
 	kept := c.pending[:0]
@@ -476,6 +494,7 @@ func (c *Controller) Retire(safeCycle uint64) {
 		}
 	}
 	c.pending = kept
+	c.retained = len(kept)
 }
 
 // Crash simulates power loss at the given cycle: buffered-but-undrained
@@ -503,7 +522,6 @@ func (c *Controller) Crash(atCycle uint64) int {
 	}
 	c.wcb.reset()
 	c.logbuf.reset()
-	img := c.nv.Image()
 	reverted := 0
 	for i := len(c.pending) - 1; i >= 0; i-- {
 		p := &c.pending[i]
@@ -516,7 +534,7 @@ func (c *Controller) Crash(atCycle uint64) int {
 			// a partial image of it would fabricate a transfer that never
 			// began, e.g. clobbering a reused log slot whose reuse was
 			// gated on a head persist that also never started.
-			if p.logw && p.n > mem.WordSize && p.start <= atCycle {
+			if p.kind == logWrite && p.n > mem.WordSize && p.start <= atCycle {
 				if frac, ok := c.chaos.HitFrac(chaos.SiteTornLogLine, uint64(p.addr)); ok {
 					// Keep a non-empty strict prefix of whole 8-byte
 					// write units: the persistence domain tears at word
@@ -531,11 +549,11 @@ func (c *Controller) Crash(atCycle uint64) int {
 					}
 				}
 			}
-			img.Write(p.addr+mem.Addr(keep), p.old[keep:p.n])
+			c.write(0, p.addr+mem.Addr(keep), p.old[keep:p.n], 0, untimed)
 			reverted++
 		}
 	}
-	c.pending = c.pending[:0]
+	c.pending, c.retained = c.pending[:0], 0
 	c.stats.CrashReverts += uint64(reverted)
 	c.rdQ.reset()
 	c.wrQ.reset()
@@ -549,12 +567,11 @@ func (c *Controller) Crash(atCycle uint64) int {
 
 // chaosPartialDrains lets power loss catch a log-buffer drain mid-burst:
 // for each buffered slot the injector picks, a prefix of its valid bytes
-// is applied to the image (no revert tracking — the crash is final)
-// before the buffers are discarded. Only masked bytes are touched, so a
-// slot that coalesced behind an already-durable record can never corrupt
-// that record's bytes.
+// is applied to the image (untimed — the crash is final) before the
+// buffers are discarded. Only masked bytes are touched, so a slot that
+// coalesced behind an already-durable record can never corrupt that
+// record's bytes.
 func (c *Controller) chaosPartialDrains(atCycle uint64) {
-	img := c.nv.Image()
 	for i := 0; i < c.logbuf.n; i++ {
 		s := c.logbuf.at(i)
 		// A slot whose latest enqueue lies past the crash cycle was (at
@@ -579,7 +596,7 @@ func (c *Controller) chaosPartialDrains(atCycle uint64) {
 			if s.mask&(1<<uint(b)) == 0 {
 				continue
 			}
-			img.Write(s.line+mem.Addr(b), s.data[b:b+1])
+			c.write(0, s.line+mem.Addr(b), s.data[b:b+1], 0, untimed)
 		}
 	}
 }

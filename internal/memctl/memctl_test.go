@@ -243,6 +243,36 @@ func TestRetirePrunesRevertRecords(t *testing.T) {
 	}
 }
 
+// TestRetireKeepsRecordNearWritesInFlight: trimmed at each issue cycle,
+// the revert record holds the writes in flight and not much more,
+// however long the run.
+func TestRetireKeepsRecordNearWritesInFlight(t *testing.T) {
+	c := testCtl(t, 4, 8)
+	var ln mem.Line
+	most := 0
+	for i := uint64(0); i < 2000; i++ {
+		c.WriteBackLine(i*1000, nvBase+mem.Addr(i%64)*64, &ln)
+		c.Retire(i * 1000)
+		most = max(most, len(c.pending))
+	}
+	if most > 8 {
+		t.Errorf("revert record grew to %d entries with about one write in flight", most)
+	}
+}
+
+// TestUntimedWritesSurviveCrash: an untimed write (boot format,
+// population) has no completion cycle, so no crash reverts it.
+func TestUntimedWritesSurviveCrash(t *testing.T) {
+	c := testCtl(t, 4, 8)
+	c.WriteUntimed(nvBase+0x5000, []byte{1, 2, 3})
+	if n := c.Crash(0); n != 0 {
+		t.Errorf("crash reverted %d writes, want none", n)
+	}
+	if got := c.NVRAM().Image().Read(nvBase+0x5000, 3); got[0] != 1 || got[2] != 3 {
+		t.Errorf("untimed write lost: %v", got)
+	}
+}
+
 func TestLineCrossingPanics(t *testing.T) {
 	c := testCtl(t, 4, 8)
 	defer func() {

@@ -21,7 +21,7 @@ var connCounter atomic.Uint64
 // concurrent use on a window-1 client from Dial.
 //
 // A client from DialPipelined keeps up to window requests in flight on
-// the one connection: GetAsync/PutAsync/DelAsync/TxnAsync return a Call
+// the one connection: GetAsync/PutAsync/TxnAsync return a Call
 // immediately (blocking only when the window is full), a background
 // reader matches responses to calls by sequence number (the server
 // answers in completion order, not submission order), and Call.Wait
@@ -358,11 +358,6 @@ func (c *Client) GetAsync(key []byte) (*Call, error) {
 // PutAsync starts a pipelined durable PUT.
 func (c *Client) PutAsync(key, val []byte) (*Call, error) {
 	return c.start(&Request{Code: OpPut, Key: key, Val: val})
-}
-
-// DelAsync starts a pipelined DEL.
-func (c *Client) DelAsync(key []byte) (*Call, error) {
-	return c.start(&Request{Code: OpDel, Key: key})
 }
 
 // TxnAsync starts a pipelined atomic batch.

@@ -137,12 +137,12 @@ func attachStore(sys *sim.System, nBuckets uint64) (*store, error) {
 	return st, nil
 }
 
-// persistHighWater pokes the allocator's bump pointer into the root block.
-// Called only at image-save points, where no transaction is in flight, so
-// every byte below the mark belongs to committed (or freed) nodes.
+// persistHighWater writes the allocator's bump pointer into the root block
+// through the untimed setup context. Called only at image-save points,
+// where no transaction is in flight, so every byte below the mark belongs
+// to committed (or freed) nodes.
 func (st *store) persistHighWater() {
-	//pmlint:allow nobackdoor -- image-save point with the system quiesced; no transaction can race this word
-	st.sys.Poke(st.root+rootOffUsed, mem.Word(st.sys.Heap().Used()))
+	st.sys.SetupCtx().Store(st.root+rootOffUsed, mem.Word(st.sys.Heap().Used()))
 }
 
 // bucketSlot returns the address of the chain-head word for key.

@@ -29,7 +29,7 @@ func bigTxWorkload(s *System, threads, txns int) (func(Ctx, int), error) {
 		}
 		bases[i] = a
 		for w := 0; w < 64; w++ {
-			s.Poke(a+mem.Addr(8*w), 0)
+			s.SetupCtx().Store(a+mem.Addr(8*w), 0)
 		}
 	}
 	return func(ctx Ctx, id int) {

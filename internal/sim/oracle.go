@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pmemlog/internal/mem"
+	"pmemlog/internal/nvlog"
 	"pmemlog/internal/recovery"
 )
 
@@ -29,13 +30,13 @@ type txRecord struct {
 	// everything with a completed fence); ^0 if never.
 	durableAllAt uint64
 	// Hardware truncation evidence: the engine truncated this committed
-	// transaction's records from sub-log truncLogIdx, the last at sequence
-	// truncLastSeq. If the recovered durable head of that sub-log passed
-	// truncLastSeq, the truncation's durability evidence reached NVRAM
-	// before the crash.
+	// transaction's records from sub-log truncLogIdx's region at truncBase,
+	// the last at sequence truncLastSeq. If the recovered durable head of
+	// that region passed truncLastSeq, the truncation's durability evidence
+	// reached NVRAM before the crash.
 	truncated    bool
 	truncLogIdx  int
-	truncEpoch   int
+	truncBase    mem.Addr
 	truncLastSeq uint64
 }
 
@@ -97,6 +98,11 @@ func (s *System) VerifyRecovery(rep recovery.Report, crashAt uint64) []string {
 	for _, id := range rep.Uncommitted {
 		rolledBack[id] = true
 	}
+	var live []mem.Addr // the base of the region recovery resumed each log in
+	for _, base := range s.LogBases() {
+		r, _ := nvlog.Resolve(s.NVRAMImage(), base) // recovery walked it already
+		live = append(live, r.Base)
+	}
 	issued := map[uint16]bool{}
 	for _, t := range o.txs {
 		if t.committed {
@@ -122,17 +128,18 @@ func (s *System) VerifyRecovery(rep recovery.Report, crashAt uint64) []string {
 		if recovered[t.txID] || t.durableAllAt <= crashAt {
 			return true
 		}
-		if !t.truncated || t.truncLogIdx >= len(rep.Heads) {
+		if !t.truncated || t.truncLogIdx >= min(len(rep.Heads), len(live)) {
 			return false
 		}
 		// A durable log_grow AFTER the truncation proves it (the forward
 		// write is ordered behind the truncation's data write-backs);
-		// within the same grow epoch, durable-head coverage proves it.
-		if t.truncLogIdx < len(rep.Hops) && rep.Hops[t.truncLogIdx] > t.truncEpoch {
-			return true
-		}
-		return (t.truncLogIdx >= len(rep.Hops) || rep.Hops[t.truncLogIdx] == t.truncEpoch) &&
-			t.truncLastSeq < rep.Heads[t.truncLogIdx]
+		// within the same region, durable-head coverage proves it. Grow
+		// regions are bump-allocated upward, so a later region has a
+		// higher base. (Report.Hops cannot tell: every grow rewrites the
+		// original region's forward pointer, so recovery follows one hop
+		// however many grows there were.)
+		base := live[t.truncLogIdx]
+		return base > t.truncBase || base == t.truncBase && t.truncLastSeq < rep.Heads[t.truncLogIdx]
 	}
 	for _, t := range o.txs {
 		if t.committed && t.commitDurable <= crashAt && !included(t) {

@@ -77,11 +77,17 @@ func (s *System) crashDue(pick *threadCtx) bool {
 	return s.crashAt > 0 && !s.crashed && pick.core.Now() >= s.crashAt
 }
 
-// housekeep runs the background machinery at global (minimum) time.
+// housekeep runs the background machinery at global (minimum) time. The
+// revert record is never trimmed past a scheduled crash: global time can
+// already be past it here (the crash fires at the next pick), and the
+// crash must still revert every write completing after its cycle.
 func (s *System) housekeep() {
 	gt := s.GlobalTime()
 	if s.eng != nil {
 		s.eng.FwbTick(gt)
+	}
+	if s.crashAt > 0 {
+		gt = min(gt, s.crashAt)
 	}
 	s.ctl.Retire(gt)
 }

@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pmemlog/internal/mem"
@@ -76,13 +77,18 @@ func goldenWorkload(s *System, threads, txns int) func(Ctx, int) {
 
 func hexSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
 
-// TestScheduleOrderGolden pins the scheduler's event order. The digests
-// were recorded at the commit before threads began running while they are
-// the pick (two channel hand-offs per operation); they must never move:
-// the order of (thread, clock) after every operation, the final counters,
-// and — with a crash at every 1500th cycle of a 2-thread run — the
-// recovered NVRAM image and recovery report, which also fixes FwbTick and
-// Retire against the crash instant.
+// TestScheduleOrderGolden pins the scheduler's event order. The schedule
+// digests were recorded at the commit before threads began running while
+// they are the pick (two channel hand-offs per operation); they must never
+// move: the order of (thread, clock) after every operation, and the final
+// counters. With a crash at every 1500th cycle of a 2-thread run, every
+// recovered image must pass the oracle, and the recovered images and
+// recovery reports are pinned too, which also fixes FwbTick and Retire
+// against the crash instant (this digest was recorded once Retire stopped
+// trimming past a scheduled crash: TestRetireStopsAtScheduledCrash).
+// Where a transaction was truncated from a grown log region, corrupting
+// one of its words after recovery must be caught — the negative control
+// for the oracle's grow rule.
 func TestScheduleOrderGolden(t *testing.T) {
 	wantOrder := map[int]string{
 		1: "450ad7119fd29bfb",
@@ -106,13 +112,13 @@ func TestScheduleOrderGolden(t *testing.T) {
 		}
 	}
 
-	const wantCrash = "189f18f7e196cb09"
+	const wantCrash = "7f0f9943fbeea57f"
 	ref := mustSystem(t, goldenConfig(2))
 	if err := ref.RunN(goldenWorkload(ref, 2, 150)); err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	points := 0
+	points, controls := 0, 0
 	for at := uint64(1500); at < ref.WallCycles(); at += 1500 {
 		s := mustSystem(t, goldenConfig(2))
 		s.ScheduleCrash(at)
@@ -123,17 +129,73 @@ func TestScheduleOrderGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crash at %d: recover: %v", at, err)
 		}
+		for _, bad := range s.VerifyRecovery(rep, at) {
+			t.Errorf("crash at %d: %s", at, bad)
+		}
 		fmt.Fprintf(h, "%d %+v ", at, rep)
 		if _, err := s.NVRAMImage().WriteTo(h); err != nil {
 			t.Fatal(err)
 		}
 		points++
+		if tx := truncatedInGrownRegion(s); tx != nil {
+			img, a := s.NVRAMImage(), tx.writes[0].addr
+			img.WriteWord(a, img.ReadWord(a)^1)
+			if bad := s.VerifyRecovery(rep, at); len(bad) != 1 || !strings.Contains(bad[0], a.String()) {
+				t.Errorf("crash at %d: corrupting tx %d's word %v gave %q, want one mismatch there", at, tx.txID, a, bad)
+			}
+			controls++
+		}
 	}
-	if points < 50 {
-		t.Fatalf("only %d crash points", points)
+	if points < 50 || controls == 0 {
+		t.Fatalf("only %d crash points, %d of them after a log_grow truncation", points, controls)
 	}
 	if got := hexSum(h); got != wantCrash {
 		t.Errorf("crash sweep digest over %d points %s, want %s", points, got, wantCrash)
+	}
+}
+
+// truncatedInGrownRegion returns the last transaction the engine truncated
+// from a region log_grow made, nil when there is none.
+func truncatedInGrownRegion(s *System) *txRecord {
+	bases := s.LogBases()
+	for i := len(s.oracle.txs) - 1; i >= 0; i-- {
+		if tx := s.oracle.txs[i]; tx.truncated && tx.truncBase != bases[tx.truncLogIdx] {
+			return tx
+		}
+	}
+	return nil
+}
+
+// TestRetireStopsAtScheduledCrash: housekeeping can run at a global time
+// already past the scheduled crash cycle (the crash fires at the next
+// pick), and however often Retire trims the revert record then, the crash
+// must still revert every write completing after its cycle. Each write
+// here completes after the crash cycle, and global time passes it before
+// the next housekeeping.
+func TestRetireStopsAtScheduledCrash(t *testing.T) {
+	const crashAt, lines = 1000, 64
+	s := mustSystem(t, goldenConfig(1))
+	base, err := s.Heap().AllocLine(lines * mem.LineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ScheduleCrash(crashAt)
+	var ones mem.Line
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	core := s.cores[0]
+	for i := 0; i < lines; i++ {
+		core.StallUntil(s.ctl.WriteBackLine(max(core.Now(), crashAt), base+mem.Addr(i*mem.LineSize), &ones))
+		s.housekeep()
+	}
+	if err := s.RunN(func(Ctx, int) {}); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("RunN = %v, want the scheduled crash", err)
+	}
+	for i := 0; i < lines; i++ {
+		if a := base + mem.Addr(i*mem.LineSize); s.Peek(a) != 0 {
+			t.Errorf("line %d: write completing after the crash at %d survived it", i, crashAt)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func counterWorkload(s *System, threads, txns, words int) (func(Ctx, int), []mem
 		}
 		base[i] = a
 		for w := 0; w < words; w++ {
-			s.Poke(a+mem.Addr(w*mem.WordSize), 0)
+			s.SetupCtx().Store(a+mem.Addr(w*mem.WordSize), 0)
 		}
 	}
 	return func(ctx Ctx, id int) {
@@ -304,7 +304,7 @@ func TestCrashRecoveryTinyLog(t *testing.T) {
 func TestCrashBeforeAnyTransaction(t *testing.T) {
 	s := mustSystem(t, smallConfig(txn.FWB, 1))
 	a, _ := s.Heap().Alloc(64)
-	s.Poke(a, 77)
+	s.SetupCtx().Store(a, 77)
 	s.ScheduleCrash(1)
 	err := s.RunN(func(ctx Ctx, id int) {
 		ctx.Compute(1000000)
@@ -375,7 +375,7 @@ func TestMultithreadSharedStructureIsolation(t *testing.T) {
 	s := mustSystem(t, smallConfig(txn.FWB, 4))
 	arr, _ := s.Heap().Alloc(4 * mem.WordSize)
 	for i := 0; i < 4; i++ {
-		s.Poke(arr+mem.Addr(i*mem.WordSize), 0)
+		s.SetupCtx().Store(arr+mem.Addr(i*mem.WordSize), 0)
 	}
 	err := s.RunN(func(ctx Ctx, id int) {
 		a := arr + mem.Addr(id*mem.WordSize)

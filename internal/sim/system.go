@@ -48,7 +48,7 @@ type System struct {
 	crashed bool
 	grants  uint64 // switches into a thread's coroutine made by RunN
 
-	// population records pre-measurement Poke values for the recovery
+	// population records pre-measurement SetupCtx stores for the recovery
 	// verifier's replay baseline (oracle mode only).
 	population map[mem.Addr]mem.Word
 
@@ -259,15 +259,6 @@ func (s *System) wireChaos() {
 	s.nv.SetChaos(s.cfg.Chaos)
 }
 
-// ChaosSeed reports the armed injector's seed and whether chaos is armed
-// (failure messages print it so any run reproduces from -seed alone).
-func (s *System) ChaosSeed() (int64, bool) {
-	if s.cfg.Chaos == nil {
-		return 0, false
-	}
-	return s.cfg.Chaos.Seed(), true
-}
-
 // swLogTrace forwards software-log events into the tracer, stamping
 // the appending thread's local clock (the software log, unlike the
 // engine, is driven directly from thread context).
@@ -330,8 +321,8 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// log_create blocks until the initial metadata is durable before the
-	// program starts, so its writes go straight to the image (setup time,
-	// untracked).
+	// program starts, so its writes are untimed. They go through a
+	// controller of their own; assemble builds the one the machine boots with.
 	logCfg, numLogs := s.logConfig()
 	var init []nvlog.Write
 	switch {
@@ -343,8 +334,11 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.ctl, err = memctl.New(cfg.Memctl, s.nv, s.dr); err != nil {
+		return nil, err
+	}
 	for _, w := range init {
-		s.nv.Image().Write(w.Addr, w.Bytes)
+		s.ctl.WriteUntimed(w.Addr, w.Bytes)
 	}
 	if err := s.assemble(); err != nil {
 		return nil, err
@@ -373,7 +367,7 @@ func (s *System) onEngineTruncated(handle uint64, ev core.TruncEvidence) {
 	if rec := s.oracleByHandle[handle]; rec != nil {
 		rec.truncated = true
 		rec.truncLogIdx = ev.LogIdx
-		rec.truncEpoch = ev.Epoch
+		rec.truncBase = ev.Base
 		rec.truncLastSeq = ev.LastSeq
 	}
 }
@@ -418,31 +412,6 @@ func (s *System) LogBases() []mem.Addr {
 // SetBenchName labels the stats produced by this system.
 func (s *System) SetBenchName(name string) { s.benchName = name }
 
-// Poke writes a word directly into NVRAM, bypassing timing — used only for
-// pre-measurement population (like warming a Pin-traced process before the
-// region of interest). The oracle tracks it as committed state.
-func (s *System) Poke(addr mem.Addr, w mem.Word) {
-	s.nv.Image().WriteWord(addr, w)
-	if s.oracle != nil {
-		a := addr.WordAligned()
-		s.oracle.commitWord(a, w)
-		s.population[a] = w
-	}
-}
-
-// PokeBytes writes bytes directly into NVRAM for population.
-func (s *System) PokeBytes(addr mem.Addr, b []byte) {
-	s.nv.Image().Write(addr, b)
-	if s.oracle != nil {
-		for i := 0; i+int(mem.WordSize) <= len(b); i += mem.WordSize {
-			a := (addr + mem.Addr(i)).WordAligned()
-			w := s.nv.Image().ReadWord(a)
-			s.oracle.commitWord(a, w)
-			s.population[a] = w
-		}
-	}
-}
-
 // Quiesce drains the memory controller's volatile buffers (log write
 // buffer and write-combining buffer) into the NVRAM image. Commit returns
 // as soon as the commit record reaches the log buffer — battery-backed in
@@ -466,9 +435,6 @@ func (s *System) Peek(addr mem.Addr) mem.Word { return s.nv.Image().ReadWord(add
 
 // ScheduleCrash arranges a power loss once global time reaches cycle.
 func (s *System) ScheduleCrash(cycle uint64) { s.crashAt = cycle }
-
-// Crashed reports whether the scheduled crash fired.
-func (s *System) Crashed() bool { return s.crashed }
 
 // CommittedOracle returns the expected durable word values for every
 // committed update (requires TrackOracle).
@@ -612,7 +578,7 @@ func (s *System) LoadNVRAM(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return s.nv.Image().CopyFrom(img)
+	return s.ctl.LoadImage(img)
 }
 
 // DumpLog decodes the durable log records currently in NVRAM (all regions,

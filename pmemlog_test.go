@@ -290,7 +290,7 @@ func TestCrashRecoveryThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := sys.Heap().Alloc(8)
-	sys.Poke(a, 1)
+	sys.SetupCtx().Store(a, 1)
 	sys.ScheduleCrash(50_000)
 	err = sys.RunN(func(ctx Ctx, id int) {
 		for i := 0; i < 10000; i++ {
