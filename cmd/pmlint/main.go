@@ -8,8 +8,8 @@
 // emits GitHub Actions ::error annotations alongside the plain report,
 // so CI failures land on the offending line in the diff view; -sarif
 // additionally writes a SARIF 2.1.0 log (always, clean runs included)
-// for code-scanning upload. -only takes rule names or the "flow" group
-// (the CFG/dominance ordering rules).
+// for code-scanning upload. -only takes a comma-separated list of rule
+// names.
 package main
 
 import (
@@ -31,7 +31,7 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("pmlint", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		only   = fs.String("only", "", "comma-separated subset of rules to run; \"flow\" names the CFG-based group (default: all)")
+		only   = fs.String("only", "", "comma-separated subset of rules to run (default: all)")
 		github = fs.Bool("github", false, "also emit GitHub Actions ::error annotations")
 		sarif  = fs.String("sarif", "", "write a SARIF 2.1.0 log to `file` (written on clean runs too)")
 		list   = fs.Bool("list", false, "list the available rules and exit")
@@ -127,9 +127,7 @@ func run(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// selectAnalyzers resolves the -only flag against the suite. Besides
-// rule names it accepts the group name "flow" for the CFG/dominance
-// ordering rules, the CI smoke-test subset.
+// selectAnalyzers resolves the -only flag's rule names against the suite.
 func selectAnalyzers(all []*lint.Analyzer, only string) ([]*lint.Analyzer, error) {
 	if only == "" {
 		return all, nil
@@ -140,28 +138,17 @@ func selectAnalyzers(all []*lint.Analyzer, only string) ([]*lint.Analyzer, error
 	}
 	seen := make(map[string]bool)
 	var picked []*lint.Analyzer
-	pick := func(a *lint.Analyzer) {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			picked = append(picked, a)
-		}
-	}
 	for _, name := range strings.Split(only, ",") {
 		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if name == "flow" {
-			for _, a := range lint.FlowAnalyzers() {
-				pick(a)
-			}
+		if name == "" || seen[name] {
 			continue
 		}
 		a, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown rule %q (try -list)", name)
 		}
-		pick(a)
+		seen[name] = true
+		picked = append(picked, a)
 	}
 	if len(picked) == 0 {
 		return nil, fmt.Errorf("-only selected no rules")

@@ -28,8 +28,11 @@ func TestCleanTree(t *testing.T) {
 }
 
 // TestInjectedViolations builds a throwaway module that replaces pmemlog
-// with this repo, plants one violation per core rule, and demonstrates
-// that the gate fails — without ever dirtying the real tree.
+// with this repo, plants one violation per contract rule that a probe
+// module can reach, and demonstrates that the gate fails — without ever
+// dirtying the real tree. ackafterdurable is not planted: it keys on the
+// server package's own Response/connReq channels, which code outside
+// internal/server cannot send on.
 func TestInjectedViolations(t *testing.T) {
 	dir := t.TempDir()
 	abs, err := filepath.Abs(repoRoot)
@@ -42,7 +45,11 @@ func TestInjectedViolations(t *testing.T) {
 	}
 	src := `package main
 
-import "pmemlog"
+import (
+	"io"
+
+	"pmemlog"
+)
 
 func corrupt(sys *pmemlog.System) {
 	sys.NVRAMImage().WriteWord(0, 1)
@@ -55,6 +62,10 @@ func leak(ctx pmemlog.Ctx) {
 
 func bare(ctx pmemlog.Ctx) {
 	ctx.Store(0, 2)
+}
+
+func undrained(sys *pmemlog.System, w io.Writer) error {
+	return sys.SaveNVRAM(w)
 }
 
 func main() {}
@@ -70,7 +81,7 @@ func main() {}
 		t.Fatalf("pmlint on planted violations exited %d, want 1:\n%s%s", code, out.String(), errw.String())
 	}
 	text := out.String()
-	for _, want := range []string{"[nobackdoor]", "[txnpair]", "[logbeforedata]", "::error file="} {
+	for _, want := range []string{"[nobackdoor]", "[txnpair]", "[logbeforedata]", "[quiesceorder]", "::error file="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
@@ -128,7 +139,7 @@ func main() {}
 			}
 		}
 	}
-	for _, rule := range []string{"nobackdoor", "txnpair", "logbeforedata"} {
+	for _, rule := range []string{"nobackdoor", "txnpair", "logbeforedata", "quiesceorder"} {
 		if !seenRules[rule] {
 			t.Errorf("SARIF results missing planted %s finding:\n%s", rule, sarif)
 		}
@@ -217,17 +228,6 @@ func TestOnlyAndList(t *testing.T) {
 	errw.Reset()
 	if code := run([]string{"-only", "nosuchrule", "./..."}, &out, &errw); code != 2 {
 		t.Fatalf("-only nosuchrule exited %d, want 2", code)
-	}
-
-	// "flow" expands to the CFG-based ordering group; the tree is clean
-	// under it (this is the make ci smoke invocation).
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-C", repoRoot, "-only", "flow", "./..."}, &out, &errw); code != 0 {
-		t.Fatalf("-only flow exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "0 finding(s)") {
-		t.Fatalf("-only flow summary missing zero-findings count:\n%s", out.String())
 	}
 
 	out.Reset()

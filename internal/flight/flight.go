@@ -83,8 +83,6 @@ type Span struct {
 }
 
 // Begin arms the span for a new request at StageRecv.
-//
-//pmlint:hot
 func (sp *Span) Begin(id uint64, op byte, recvNS int64) {
 	sp.id.Store(id)
 	sp.op.Store(uint32(op))
@@ -109,15 +107,11 @@ func (sp *Span) ID() uint64 { return sp.id.Load() }
 func (sp *Span) Tag() uint32 { return SpanTag(sp.id.Load()) }
 
 // Mark records the given stage's timestamp.
-//
-//pmlint:hot
 func (sp *Span) Mark(stage int, ns int64) { sp.stageNS[stage].Store(ns) }
 
 // StageNS reads one stage's timestamp (0 = not reached). The pulse
 // collector uses it to fold a finishing span's timings into the
 // windowed stage histograms without snapshotting the whole span.
-//
-//pmlint:hot
 func (sp *Span) StageNS(stage int) int64 {
 	if stage < 0 || stage >= numStages {
 		return 0
@@ -132,8 +126,6 @@ func (sp *Span) SetShard(shard int) { sp.shard.Store(int32(shard)) }
 func (sp *Span) SetStatus(status byte) { sp.status.Store(int32(status)) }
 
 // SetTxn attributes the machine transaction the request ran as.
-//
-//pmlint:hot
 func (sp *Span) SetTxn(txid uint16, beginCyc, commitCyc uint64) {
 	sp.txid.Store(uint32(txid))
 	sp.txBegin.Store(beginCyc)
@@ -142,8 +134,6 @@ func (sp *Span) SetTxn(txid uint16, beginCyc, commitCyc uint64) {
 
 // SetLogWindow records the log tail sequence straddling the apply, so a
 // dump shows which records the request appended.
-//
-//pmlint:hot
 func (sp *Span) SetLogWindow(first, last uint64) {
 	sp.logFirst.Store(first)
 	sp.logLast.Store(last)
@@ -217,8 +207,6 @@ func (s *SpanSnapshot) StageDurations(out *[NumLatStages]int64) {
 // fields, individually race-clean) without allocating. Exported for
 // the pulse exemplar capture, which snapshots a finishing span before
 // Finish recycles the slot.
-//
-//pmlint:hot
 func (sp *Span) SnapshotInto(out *SpanSnapshot) {
 	out.ID = sp.id.Load()
 	out.Op = uint8(sp.op.Load())
@@ -281,8 +269,6 @@ func NewTable(capacity, slowCap int, thresholdNS int64) *Table {
 // when the table is full — the request then simply flies unrecorded
 // (its obs events still carry the tag); a full table must shed load,
 // not block the conn reader.
-//
-//pmlint:hot
 func (t *Table) Acquire(id uint64, op byte, recvNS int64) *Span {
 	select {
 	case sp := <-t.free:
@@ -297,8 +283,6 @@ func (t *Table) Acquire(id uint64, op byte, recvNS int64) *Span {
 // Finish completes a span at ack time: records status and ack
 // timestamp, captures the snapshot into the slow ring when the request
 // ran long enough, and recycles the slot. sp must not be touched after.
-//
-//pmlint:hot
 func (t *Table) Finish(sp *Span, status byte, ackNS int64) {
 	if sp == nil {
 		return

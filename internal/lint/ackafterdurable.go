@@ -46,7 +46,7 @@ func checkAckScope(pass *Pass, sc scope) {
 	var scopeMay effect
 	if sc.lit != nil {
 		scopeMay = m.NodeMay(pass.Info, sc.lit)
-	} else if fi := m.funcInfo(declObj(pass, sc.decl)); fi != nil {
+	} else if fi := m.fns[declObj(pass, sc.decl)]; fi != nil {
 		scopeMay = fi.may
 	}
 	if scopeMay&effTxBegin == 0 {

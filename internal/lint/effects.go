@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"pmemlog/internal/lint/flow"
 )
@@ -87,6 +88,8 @@ type fnInfo struct {
 	// included (an effect inside a passed closure may still happen under
 	// this call — RunN(func(ctx){...}) is the canonical case).
 	prim effect
+	// callees: the module functions the body calls, closures included.
+	callees []*fnInfo
 	// may: prim plus the may-effects of every module callee, to fixpoint.
 	// An over-approximation: "calling fn can cause E".
 	may effect
@@ -134,16 +137,15 @@ func NewModule(pkgs []*Package) *Module {
 		}
 	}
 
-	// Primitive effects and the caller map, one body walk each.
+	// Primitive effects, callees and the caller map, one body walk each.
 	for _, fi := range m.order {
-		seen := make(map[*types.Func]bool)
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				fn := calleeOf(fi.pkg.Info, n)
 				fi.prim |= primEffect(fn)
-				if callee, ok := m.fns[fn]; ok && !seen[fn] {
-					seen[fn] = true
+				if callee, ok := m.fns[fn]; ok && !slices.Contains(fi.callees, callee) {
+					fi.callees = append(fi.callees, callee)
 					m.callers[callee.obj] = append(m.callers[callee.obj], fi)
 				}
 			case *ast.SendStmt:
@@ -158,15 +160,10 @@ func NewModule(pkgs []*Package) *Module {
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range m.order {
-			may := fi.prim
-			ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, ok := m.fns[calleeOf(fi.pkg.Info, call)]; ok {
-						may |= callee.may
-					}
-				}
-				return true
-			})
+			may := fi.may
+			for _, callee := range fi.callees {
+				may |= callee.may
+			}
 			if may != fi.may {
 				fi.may = may
 				changed = true
@@ -182,7 +179,7 @@ func NewModule(pkgs []*Package) *Module {
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range m.order {
-			g := m.graph(fi.decl.Body)
+			g := m.Graph(fi.decl.Body)
 			for _, e := range mustTracked {
 				if fi.must&e != 0 {
 					continue
@@ -198,8 +195,8 @@ func NewModule(pkgs []*Package) *Module {
 	return m
 }
 
-// graph returns the (cached) CFG of body.
-func (m *Module) graph(body *ast.BlockStmt) *flow.Graph {
+// Graph returns the (cached) CFG of a function or closure body.
+func (m *Module) Graph(body *ast.BlockStmt) *flow.Graph {
 	if g, ok := m.graphs[body]; ok {
 		return g
 	}
@@ -207,12 +204,6 @@ func (m *Module) graph(body *ast.BlockStmt) *flow.Graph {
 	m.graphs[body] = g
 	return g
 }
-
-// Graph exposes the cached CFG of a function or closure body to analyzers.
-func (m *Module) Graph(body *ast.BlockStmt) *flow.Graph { return m.graph(body) }
-
-// FuncInfo returns the summary for a module function, nil otherwise.
-func (m *Module) funcInfo(fn *types.Func) *fnInfo { return m.fns[fn] }
 
 // callsIn collects the calls that execute when node n executes. FuncLit
 // bodies are skipped — a closure's calls run when the closure runs — but

@@ -12,12 +12,7 @@
 //	                and tests mutate a mem.Physical
 //	quiesceorder    persisting a DIMM image requires a preceding Quiesce
 //	                (drain the log/write-combining buffers first)
-//	lockdiscipline  copied locks, mixed atomic/plain field access, and
-//	                channel sends made while holding a mutex
-//	obshotpath      observability calls inside functions marked
-//	                //pmlint:hot restricted to the lock-free atomic handles
-//	noallochotpath  no per-op heap allocation (make into locals, appends
-//	                onto fresh slices) inside functions marked //pmlint:hot
+//	lockdiscipline  no channel send while holding a mutex
 //	chaosonly       fault-injection arming (chaos.New, SetChaos,
 //	                Config.Chaos writes) confined to the chaos plane,
 //	                cmd/pmchaos, and sim construction
@@ -27,10 +22,14 @@
 //	                dominated by the image persist that makes them true
 //	deferredunlock  every mutex acquisition is released on all exit paths
 //
-// txnpair, quiesceorder, and the three analyzers above are built on
-// internal/lint/flow (CFGs, dominator trees, path searches) plus the
-// Module's interprocedural effect summaries, so they prove orderings on
-// every panic-free path and report the concrete path that breaks one.
+// txnpair, quiesceorder, logbeforedata, ackafterdurable and
+// deferredunlock are built on internal/lint/flow (CFGs, dominator
+// trees, path searches) plus the Module's interprocedural effect
+// summaries, so they prove orderings on every panic-free path and report
+// the concrete path that breaks one. Hygiene that another gate already
+// proves has no rule here: go vet reports copied locks, the compiler
+// rejects plain writes to typed atomics, and the zero-allocation tests
+// measure hot-path allocation (DESIGN.md §9).
 //
 // Findings can be suppressed one-at-a-time with a `//pmlint:allow <rule>`
 // directive on the offending line or the line above (see allow.go); an
@@ -61,15 +60,9 @@ type Analyzer struct {
 // Analyzers returns the full suite in report order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Txnpair, Nobackdoor, Quiesceorder, Lockdiscipline, Obshotpath,
-		Noallochotpath, Chaosonly, Logbeforedata, Ackafterdurable, Deferredunlock,
+		Txnpair, Nobackdoor, Quiesceorder, Lockdiscipline, Chaosonly,
+		Logbeforedata, Ackafterdurable, Deferredunlock,
 	}
-}
-
-// FlowAnalyzers returns the CFG/dominance-based subset (the `-only flow`
-// group): the path-sensitive ordering rules built on internal/lint/flow.
-func FlowAnalyzers() []*Analyzer {
-	return []*Analyzer{Txnpair, Quiesceorder, Logbeforedata, Ackafterdurable, Deferredunlock}
 }
 
 // Pass carries one analyzer's view of one package.
@@ -199,30 +192,6 @@ func funcScopes(file *ast.File) []*ast.FuncDecl {
 	for _, decl := range file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 			out = append(out, fd)
-		}
-	}
-	return out
-}
-
-// hotDirective in a function's doc comment marks it as an audited hot
-// path: code that runs per request, per log record or per telemetry
-// tick, which obshotpath and noallochotpath hold to their rules. The
-// mark lives on the function so a rename or a new hot function cannot
-// fall out of coverage the way a name list in the analyzer could.
-const hotDirective = "//pmlint:hot"
-
-// hotFuncs yields the file's functions marked with hotDirective.
-func hotFuncs(file *ast.File) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, fd := range funcScopes(file) {
-		if fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			if c.Text == hotDirective {
-				out = append(out, fd)
-				break
-			}
 		}
 	}
 	return out

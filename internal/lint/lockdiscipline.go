@@ -3,203 +3,26 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
+	"strings"
 )
 
-// Lockdiscipline flags synchronization misuse patterns that turn into
-// heisenbugs under the server's load: locks copied by value (the copy
-// guards nothing), the same field accessed both through sync/atomic and
-// with plain loads/stores (the plain access races), and channel sends
-// made while holding a mutex (the ack path of a shard must never block
-// on a slow consumer while holding shared state).
+// Lockdiscipline flags channel sends made while holding a mutex: the
+// ack path of a shard must never block on a slow consumer while holding
+// shared state. Copied locks are go vet's copylocks check, and a plain
+// write to a typed atomic (the only atomics the tree uses) does not
+// compile, so those shapes need no rule here.
 var Lockdiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "copied locks, mixed atomic/plain access to one field, channel sends while holding a mutex",
+	Doc:  "no channel send while holding a mutex",
 	Run:  runLockdiscipline,
 }
 
 func runLockdiscipline(pass *Pass) {
-	checkAtomicMix(pass)
 	for _, file := range pass.Files {
 		for _, fd := range funcScopes(file) {
-			checkLockCopies(pass, fd)
 			checkSendUnderLock(pass, fd)
 		}
 	}
-}
-
-// --- copied locks ---------------------------------------------------
-
-// lockTypes are the by-value-uncopyable synchronization types.
-var lockTypes = map[string]map[string]bool{
-	"sync": {"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true,
-		"Cond": true, "Map": true, "Pool": true},
-	"sync/atomic": {"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-		"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true},
-}
-
-// containsLock reports whether a value of type t embeds (directly or via
-// struct/array nesting) a type that must not be copied.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			if names, ok := lockTypes[obj.Pkg().Path()]; ok && names[obj.Name()] {
-				return true
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-func lockByValue(t types.Type) bool {
-	if _, ok := t.(*types.Pointer); ok {
-		return false
-	}
-	return containsLock(t, make(map[types.Type]bool))
-}
-
-// checkLockCopies flags by-value receivers, parameters, range variables,
-// and plain-copy assignments of lock-bearing types.
-func checkLockCopies(pass *Pass, fd *ast.FuncDecl) {
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				obj := pass.Info.Defs[name]
-				if obj != nil && lockByValue(obj.Type()) {
-					pass.Reportf(name.Pos(),
-						"%s takes %s %q by value, copying its lock; pass a pointer", funcName(fd), what, name.Name)
-				}
-			}
-		}
-	}
-	checkFieldList(fd.Recv, "receiver")
-	checkFieldList(fd.Type.Params, "parameter")
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
-				if obj := pass.Info.Defs[id]; obj != nil && lockByValue(obj.Type()) {
-					pass.Reportf(id.Pos(),
-						"%s ranges over lock-bearing values by value (%q copies a lock); range over indices or pointers", funcName(fd), id.Name)
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				switch rhs.(type) {
-				case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-					// A copy of an existing value, not a freshly built one.
-				default:
-					continue
-				}
-				if tv, ok := pass.Info.Types[rhs]; ok && lockByValue(tv.Type) {
-					pass.Reportf(n.Lhs[i].Pos(),
-						"%s copies a lock-bearing value of type %s; copy a pointer instead", funcName(fd), tv.Type)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// --- mixed atomic / plain access ------------------------------------
-
-// checkAtomicMix is package-scoped: pass one finds every variable or
-// struct field whose address is taken by a sync/atomic call; pass two
-// flags plain writes to the same object anywhere in the package.
-func checkAtomicMix(pass *Pass) {
-	atomicAt := make(map[types.Object]token.Pos)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeOf(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || len(call.Args) == 0 {
-				return true
-			}
-			addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || addr.Op != token.AND {
-				return true
-			}
-			if obj := referredObject(pass.Info, addr.X); obj != nil {
-				atomicAt[obj] = call.Pos()
-			}
-			return true
-		})
-	}
-	if len(atomicAt) == 0 {
-		return
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					reportPlainWrite(pass, atomicAt, lhs)
-				}
-			case *ast.IncDecStmt:
-				reportPlainWrite(pass, atomicAt, n.X)
-			}
-			return true
-		})
-	}
-}
-
-// referredObject resolves the variable or struct field an lvalue names.
-func referredObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok {
-			return sel.Obj()
-		}
-		return info.Uses[e.Sel]
-	}
-	return nil
-}
-
-func reportPlainWrite(pass *Pass, atomicAt map[types.Object]token.Pos, lhs ast.Expr) {
-	obj := referredObject(pass.Info, lhs)
-	if obj == nil {
-		return
-	}
-	if _, ok := atomicAt[obj]; ok {
-		pass.Reportf(lhs.Pos(),
-			"%q is accessed with sync/atomic elsewhere in this package but written non-atomically here; the plain write races with the atomic readers", obj.Name())
-	}
-}
-
-// --- channel send while holding a mutex ------------------------------
-
-// lockInterval is one lexical span during which a mutex is held.
-type lockInterval struct {
-	recv     string
-	from, to token.Pos
 }
 
 // checkSendUnderLock flags channel sends lexically between a mutex Lock
@@ -208,70 +31,48 @@ type lockInterval struct {
 // a lock stalls every other path through the guarded state — in pmserve
 // terms, one dead client freezes the ack path of the whole server.
 func checkSendUnderLock(pass *Pass, fd *ast.FuncDecl) {
-	type lockCall struct {
-		recv   string
-		pos    token.Pos
-		reader bool
+	type interval struct {
+		recv     string
+		from, to token.Pos
 	}
-	var locks []lockCall
+	var held []interval
 	unlocks := make(map[string][]token.Pos) // recv -> Unlock/RUnlock positions
 	deferred := make(map[string]bool)       // recv with deferred unlock
-	mutexRecv := func(call *ast.CallExpr) (string, bool) {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return "", false
-		}
-		fn := calleeOf(pass.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return "", false
-		}
-		return types.ExprString(sel.X), true
-	}
+	recvOf := func(sel string) string { return sel[:strings.LastIndexByte(sel, '.')] }
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			if recv, ok := mutexRecv(n.Call); ok {
-				if name := calleeOf(pass.Info, n.Call).Name(); name == "Unlock" || name == "RUnlock" {
-					deferred[recv] = true
-				}
+			if sel, ok := lockCall(pass.Info, n.Call, "Unlock", "RUnlock"); ok {
+				deferred[recvOf(sel)] = true
 			}
 		case *ast.CallExpr:
-			recv, ok := mutexRecv(n)
-			if !ok {
-				return true
-			}
-			switch calleeOf(pass.Info, n).Name() {
-			case "Lock":
-				locks = append(locks, lockCall{recv: recv, pos: n.Pos()})
-			case "RLock":
-				locks = append(locks, lockCall{recv: recv, pos: n.Pos(), reader: true})
-			case "Unlock", "RUnlock":
-				unlocks[recv] = append(unlocks[recv], n.Pos())
+			if sel, ok := lockCall(pass.Info, n, "Lock", "RLock"); ok {
+				held = append(held, interval{recv: recvOf(sel), from: n.Pos(), to: fd.Body.End()})
+			} else if sel, ok := lockCall(pass.Info, n, "Unlock", "RUnlock"); ok {
+				unlocks[recvOf(sel)] = append(unlocks[recvOf(sel)], n.Pos())
 			}
 		}
 		return true
 	})
-	if len(locks) == 0 {
+	if len(held) == 0 {
 		return
 	}
-	var intervals []lockInterval
-	for _, l := range locks {
-		iv := lockInterval{recv: l.recv, from: l.pos, to: fd.Body.End()}
-		if !deferred[l.recv] {
-			for _, u := range unlocks[l.recv] {
-				if u > l.pos && u < iv.to {
-					iv.to = u
-				}
+	for i, iv := range held {
+		if deferred[iv.recv] {
+			continue
+		}
+		for _, u := range unlocks[iv.recv] {
+			if u > iv.from && u < held[i].to {
+				held[i].to = u
 			}
 		}
-		intervals = append(intervals, iv)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		send, ok := n.(*ast.SendStmt)
 		if !ok {
 			return true
 		}
-		for _, iv := range intervals {
+		for _, iv := range held {
 			if send.Pos() > iv.from && send.Pos() < iv.to {
 				pass.Reportf(send.Pos(),
 					"%s sends on a channel while holding %s; a blocked receiver would stall everyone contending for the lock", funcName(fd), iv.recv)

@@ -92,11 +92,11 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 				continue
 			}
 			s := sums[fi.obj]
-			if !s.out && m.lbdSearch(fi, m.graph(fi.decl.Body), lbdOut, sums) != nil {
+			if !s.out && m.lbdSearch(fi, m.Graph(fi.decl.Body), lbdOut, sums) != nil {
 				s.out = true
 				changed = true
 			}
-			if !s.in && m.lbdSearch(fi, m.graph(fi.decl.Body), lbdIn, sums) != nil {
+			if !s.in && m.lbdSearch(fi, m.Graph(fi.decl.Body), lbdIn, sums) != nil {
 				s.in = true
 				changed = true
 			}
@@ -132,7 +132,7 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 		s := sums[fi.obj]
 		// Intrinsic commit-then-store: wrong for every caller.
 		if s.in {
-			if h := m.lbdSearch(fi, m.graph(fi.decl.Body), lbdIn, sums); h != nil && h.state == lbdClosed {
+			if h := m.lbdSearch(fi, m.Graph(fi.decl.Body), lbdIn, sums); h != nil && h.state == lbdClosed {
 				report(fi, funcName(fi.decl), h)
 			}
 		}
@@ -140,14 +140,14 @@ func (m *Module) logBeforeDataFindings() []moduleFinding {
 		// module callers is a library whose precondition each call site
 		// discharges (and is checked there).
 		if s.out && len(m.callers[fi.obj]) == 0 {
-			if h := m.lbdSearch(fi, m.graph(fi.decl.Body), lbdOut, sums); h != nil {
+			if h := m.lbdSearch(fi, m.Graph(fi.decl.Body), lbdOut, sums); h != nil {
 				report(fi, funcName(fi.decl), h)
 			}
 		}
 		// Workload closures handed to System.RunN start definitely
 		// out of transaction: check each as a root.
 		for _, lit := range runLits(fi) {
-			if h := m.lbdSearch(fi, m.graph(lit.Body), lbdOut, sums); h != nil {
+			if h := m.lbdSearch(fi, m.Graph(lit.Body), lbdOut, sums); h != nil {
 				report(fi, "workload closure in "+funcName(fi.decl), h)
 			}
 		}

@@ -6,10 +6,11 @@ import (
 
 // Import paths of the packages whose APIs the analyzers key on.
 const (
-	simPkg   = "pmemlog/internal/sim"
-	memPkg   = "pmemlog/internal/mem"
-	corePkg  = "pmemlog/internal/core"
-	pheapPkg = "pmemlog/internal/pheap"
+	simPkg    = "pmemlog/internal/sim"
+	memPkg    = "pmemlog/internal/mem"
+	corePkg   = "pmemlog/internal/core"
+	pheapPkg  = "pmemlog/internal/pheap"
+	serverPkg = "pmemlog/internal/server"
 )
 
 // Nobackdoor enforces one rule: only the memory controller (and

@@ -1,71 +1,8 @@
-// Fixtures for the lockdiscipline analyzer: copied locks, mixed
-// atomic/plain field access, and channel sends under a held mutex.
+// Fixtures for the lockdiscipline analyzer: channel sends under a held
+// mutex, and the send after the unlock that must pass.
 package lockdiscipline
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-type counters struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func byValue(c counters) uint64 { // want "takes parameter \"c\" by value"
-	return c.n
-}
-
-func byPointer(c *counters) uint64 {
-	return c.n
-}
-
-func (c counters) valueReceiver() uint64 { // want "takes receiver \"c\" by value"
-	return c.n
-}
-
-func (c *counters) pointerReceiver() uint64 {
-	return c.n
-}
-
-func copyAssign(p *counters) uint64 {
-	c := *p // want "copies a lock-bearing value"
-	return c.n
-}
-
-func rangeCopy(cs []counters) uint64 {
-	var total uint64
-	for _, c := range cs { // want "ranges over lock-bearing values"
-		total += c.n
-	}
-	return total
-}
-
-func rangeByIndex(cs []counters) uint64 {
-	var total uint64
-	for i := range cs {
-		total += cs[i].n
-	}
-	return total
-}
-
-type hitStats struct {
-	hits  uint64
-	label string
-}
-
-func bump(s *hitStats) {
-	atomic.AddUint64(&s.hits, 1)
-}
-
-func read(s *hitStats) uint64 {
-	return atomic.LoadUint64(&s.hits)
-}
-
-func reset(s *hitStats) {
-	s.hits = 0          // want "written non-atomically"
-	s.label = "cleared" // plain field, never atomic: fine
-}
+import "sync"
 
 func sendLocked(mu *sync.Mutex, ch chan int) {
 	mu.Lock()

@@ -56,7 +56,7 @@ func checkCtxScope(pass *Pass, sc scope) {
 			if primEffect(fn) == effTxCommit {
 				return true
 			}
-			if fi := pass.Mod.funcInfo(fn); fi != nil &&
+			if fi := pass.Mod.fns[fn]; fi != nil &&
 				fi.must&effTxCommit != 0 && fi.may&effTxBegin == 0 {
 				return true
 			}
@@ -74,10 +74,15 @@ func checkCtxScope(pass *Pass, sc scope) {
 // A handle is satisfied if it reaches an Engine.Commit/Abort call or is
 // used in any other way (stored in a field, returned, passed on): the
 // analyzer flags only handles that are provably dropped — discarded
-// results, blank assignments, and variables never read again.
+// results, blank assignments, and locals whose only reads feed the blank
+// identifier. A local never read at all is the compiler's "declared and
+// not used" error; `_ = tx` washes that error without committing
+// anything. One pre-order walk suffices: a `:=` declaration precedes its
+// uses, and an `_ = tx` statement precedes its operand.
 func checkEnginePairing(pass *Pass, fd *ast.FuncDecl) {
-	// defs maps each handle object to the identifier that defined it.
-	defs := make(map[types.Object]*ast.Ident)
+	defs := make(map[types.Object]*ast.Ident) // handle → defining identifier
+	used := make(map[types.Object]bool)
+	washes := make(map[*ast.Ident]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
@@ -88,6 +93,15 @@ func checkEnginePairing(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if l, ok := lhs.(*ast.Ident); ok && l.Name == "_" {
+						if r, ok := n.Rhs[i].(*ast.Ident); ok {
+							washes[r] = true
+						}
+					}
+				}
+			}
 			if len(n.Rhs) != 1 {
 				return true
 			}
@@ -109,42 +123,10 @@ func checkEnginePairing(pass *Pass, fd *ast.FuncDecl) {
 			if obj := pass.Info.Defs[id]; obj != nil {
 				defs[obj] = id
 			}
-		}
-		return true
-	})
-	if len(defs) == 0 {
-		return
-	}
-	// Any later use of the handle satisfies the rule — except feeding it
-	// to the blank identifier, which only washes the compiler's
-	// declared-and-not-used error without committing anything.
-	blankUses := make(map[*ast.Ident]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if l, ok := lhs.(*ast.Ident); ok && l.Name == "_" {
-				if r, ok := as.Rhs[i].(*ast.Ident); ok {
-					blankUses[r] = true
-				}
+		case *ast.Ident:
+			if obj := pass.Info.Uses[n]; obj != nil && defs[obj] != nil && !washes[n] {
+				used[obj] = true
 			}
-		}
-		return true
-	})
-	used := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || blankUses[id] {
-			return true
-		}
-		obj := pass.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if def, tracked := defs[obj]; tracked && id != def {
-			used[obj] = true
 		}
 		return true
 	})

@@ -458,8 +458,6 @@ func (l *Log) metaWriteInto(buf []byte) Write {
 // PrepareAppend assigns the next slot to e and returns the functional
 // writes that make it durable (the record itself, plus a periodic tail
 // metadata sync). ErrFull means the caller must truncate or grow first.
-//
-//pmlint:hot
 func (l *Log) PrepareAppend(e Entry) ([]Write, error) {
 	if l.Full() {
 		if l.trace != nil {
@@ -514,8 +512,6 @@ func (l *Log) PrepareAppend(e Entry) ([]Write, error) {
 // idempotent. Slots are only reused once the volatile head has passed
 // them, and any colliding append's metadata sync drains first (FIFO), so
 // the durable window never contains overwritten slots.
-//
-//pmlint:hot
 func (l *Log) Truncate(n uint64) ([]Write, error) {
 	if n > l.Len() {
 		return nil, fmt.Errorf("nvlog: truncate %d > live %d", n, l.Len())

@@ -13,9 +13,7 @@ import (
 // The metrics registry. Registration (Counter/Gauge/Histogram lookup)
 // takes a mutex and may allocate, so it belongs in setup code; the
 // returned handles are all-atomic and safe to hammer from shard hot
-// paths — Add, Set, and Observe never lock and never allocate. The
-// pmlint rule obshotpath enforces exactly this split inside the
-// server's shard apply loop.
+// paths — Add, Set, and Observe never lock and never allocate.
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {

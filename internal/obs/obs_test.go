@@ -30,8 +30,7 @@ func TestEmitDisabledIsFreeAndAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("nil-tracer Emit allocates %v bytes/op, want 0", n)
 	}
-	// Enabled Emit must not allocate either (hot-path requirement the
-	// pmlint obshotpath rule assumes).
+	// Enabled Emit must not allocate either (a hot-path requirement).
 	tr.Enable()
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.Emit(1, 42, KindLogAppend, 7, 99)

@@ -222,8 +222,6 @@ func (c *Collector) point(k uint64) *point {
 
 // Tick closes the current window: every tracked source is read into the
 // next point of the ring, in place. Steady-state allocation-free.
-//
-//pmlint:hot
 func (c *Collector) Tick() {
 	now := c.cfg.NowNS()
 	c.mu.Lock()
@@ -265,8 +263,6 @@ func (c *Collector) Tick() {
 // full snapshot. Called by the conn writer just before the span is
 // recycled; the fast path is one atomic load when the request is not
 // tail-worthy. Allocation-free.
-//
-//pmlint:hot
 func (c *Collector) NoteFinished(sp *flight.Span, status byte, ackNS int64) {
 	if c == nil || sp == nil {
 		return

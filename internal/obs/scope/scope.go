@@ -21,9 +21,7 @@
 // machine's owner — a server shard loop), every Note* method is
 // allocation-free and nil-receiver-safe (an unscoped machine pays one
 // branch per event), and the sketches are fixed arrays cleared by an
-// O(1) epoch bump. Guarded by TestScopeZeroAllocSteadyState and
-// machine-enforced by pmlint's noallochotpath/obshotpath rules on the
-// functions marked //pmlint:hot.
+// O(1) epoch bump. Guarded by TestScopeZeroAllocSteadyState.
 package scope
 
 // Sketch geometry: a power-of-two slot array with a short linear
@@ -54,16 +52,12 @@ type LineSketch struct {
 
 // Clear empties the sketch in O(1) by advancing the epoch; stale slots
 // are reclaimed lazily by later inserts.
-//
-//pmlint:hot
 func (s *LineSketch) Clear() { s.epoch++ }
 
 // Touch inserts tag and reports whether it was already present this
 // epoch. A zero tag is remapped (0 marks a removed slot). When the
 // whole probe neighborhood is live with other tags the insert is
 // dropped and Touch reports false — a conservative miss.
-//
-//pmlint:hot
 func (s *LineSketch) Touch(tag uint64) bool {
 	if tag == 0 {
 		tag = 1
@@ -82,8 +76,6 @@ func (s *LineSketch) Touch(tag uint64) bool {
 }
 
 // Remove deletes tag if present this epoch, reporting whether it was.
-//
-//pmlint:hot
 func (s *LineSketch) Remove(tag uint64) bool {
 	if tag == 0 {
 		tag = 1
@@ -213,8 +205,6 @@ type Counters struct {
 
 // NoteLogBytes accounts one log append's (or log metadata write's)
 // bytes by class. Hot path: called per record by the logging engine.
-//
-//pmlint:hot
 func (c *Counters) NoteLogBytes(undo, redo, header, checksum uint64) {
 	if c == nil {
 		return
@@ -228,8 +218,6 @@ func (c *Counters) NoteLogBytes(undo, redo, header, checksum uint64) {
 // NoteStore accounts one logged persistent store: payload bytes, the
 // update-append count, and line recurrence within the owning
 // transaction. Hot path: once per store.
-//
-//pmlint:hot
 func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 	if c == nil {
 		return
@@ -244,8 +232,6 @@ func (c *Counters) NoteStore(handle, line, payloadBytes uint64) {
 // NoteTxnCommit folds one committed transaction's ledger into the
 // per-txn amplification mean and retires its line set. Transactions
 // that stored nothing are not measured (no denominator).
-//
-//pmlint:hot
 func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 	if c == nil || payloadBytes == 0 {
 		return
@@ -258,8 +244,6 @@ func (c *Counters) NoteTxnCommit(payloadBytes, logBytes uint64) {
 // NoteForcedWB arms the wasted-flush detector for a line the FWB
 // scanner just forced out. The count of forced write-backs is the
 // caches' own (cache.Stats.FwbForced).
-//
-//pmlint:hot
 func (c *Counters) NoteForcedWB(line uint64) {
 	if c == nil {
 		return
@@ -270,8 +254,6 @@ func (c *Counters) NoteForcedWB(line uint64) {
 // NoteDirtied observes a line becoming dirty in a cache. A line the
 // scanner force-flushed and that re-dirties before the next scan made
 // that flush wasted traffic. Hot path: once per store.
-//
-//pmlint:hot
 func (c *Counters) NoteDirtied(line uint64) {
 	if c == nil {
 		return
@@ -283,8 +265,6 @@ func (c *Counters) NoteDirtied(line uint64) {
 
 // NoteScan marks an FWB scan pass starting: forced flushes from the
 // previous pass stop being candidates for the wasted-flush count.
-//
-//pmlint:hot
 func (c *Counters) NoteScan() {
 	if c == nil {
 		return

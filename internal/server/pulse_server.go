@@ -60,8 +60,6 @@ func (s *Server) Pulse() *pulse.Collector { return s.pulse }
 
 // sampleShard hands the collector one shard's published view; it never
 // waits on the shard loop.
-//
-//pmlint:hot
 func (s *Server) sampleShard(i int, out *pulse.ShardSample) {
 	*out = s.shards[i].view()
 }
@@ -72,8 +70,6 @@ func (s *Server) sampleShard(i int, out *pulse.ShardSample) {
 // requests feed the e2e/stage/SLO series, so stage shares and the SLO
 // burn are computed over the same population the exemplars come from.
 // Hot path: allocation-free (the span snapshot is a stack scratch).
-//
-//pmlint:hot
 func (s *Server) observeFinish(cr *connReq) {
 	if h := s.opHist[cr.code]; h != nil {
 		h.Observe(uint64(time.Since(cr.start)))

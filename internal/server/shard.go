@@ -119,8 +119,6 @@ func newShard(id int, cfg sim.Config, nBuckets uint64, dir string, queueDepth, b
 // publish refreshes live from the machine and copies it into the
 // published view in one critical section (loop goroutine, or newShard
 // before the loop starts). No allocation, no obs calls.
-//
-//pmlint:hot
 func (sh *shard) publish() {
 	sh.sys.Snapshot(&sh.live.Snapshot)
 	sh.live.Keys = sh.st.keys
@@ -132,8 +130,6 @@ func (sh *shard) publish() {
 
 // view returns the shard as of its last completed batch, with the queue
 // gauges read now. Safe from any goroutine; never blocks on the loop.
-//
-//pmlint:hot
 func (sh *shard) view() pulse.ShardSample {
 	sh.pubMu.Lock()
 	v := sh.pub
@@ -195,8 +191,6 @@ func (sh *shard) save() error {
 }
 
 // loop is the shard worker goroutine.
-//
-//pmlint:hot
 func (sh *shard) loop() {
 	defer close(sh.done)
 	defer func() {
@@ -225,8 +219,6 @@ func (sh *shard) loop() {
 
 // collect gathers up to batchMax already-queued requests behind first into
 // the shard's reusable batch slice (valid until the next collect).
-//
-//pmlint:hot
 func (sh *shard) collect(first *connReq) []*connReq {
 	batch := append(sh.batch[:0], first)
 	for len(batch) < sh.batchMax {
@@ -243,8 +235,6 @@ func (sh *shard) collect(first *connReq) []*connReq {
 }
 
 // drain answers everything already queued, then takes a final save.
-//
-//pmlint:hot
 func (sh *shard) drain() {
 	for {
 		select {
@@ -263,8 +253,6 @@ func (sh *shard) drain() {
 // shard's machine in arrival order, each response written into its
 // connReq, the image is persisted if anything was written, and only then
 // are the responses released — the acked-durability point.
-//
-//pmlint:hot
 func (sh *shard) runBatch(batch []*connReq) {
 	sh.live.Batches++
 	wrote := false
@@ -371,8 +359,6 @@ func (sh *shard) settle(runErr error, wrote bool, batch []*connReq) {
 // apply executes one request inside the batch's worker. A GET value is
 // appended to dst (the caller's reusable scratch); the returned slice is
 // the grown scratch to keep for the next call.
-//
-//pmlint:hot
 func (sh *shard) apply(ctx sim.Ctx, req *Request, dst []byte) (Response, []byte) {
 	switch req.Code {
 	case OpGet:

@@ -154,8 +154,6 @@ func (st *store) bucketSlot(key []byte) mem.Addr {
 // find walks key's chain. It returns the matching node (0 if absent) and
 // the address of the word that links to it (the bucket slot or the
 // predecessor's next field) for unlinking/replacing.
-//
-//pmlint:hot
 func (st *store) find(ctx sim.Ctx, key []byte) (node, linkSlot mem.Addr) {
 	linkSlot = st.bucketSlot(key)
 	node = mem.Addr(ctx.Load(linkSlot))
@@ -177,8 +175,6 @@ func (st *store) find(ctx sim.Ctx, key []byte) (node, linkSlot mem.Addr) {
 // slice. Passing a reused dst with spare capacity makes the steady-state
 // GET path allocation free; passing nil behaves like the old allocating
 // variant.
-//
-//pmlint:hot
 func (st *store) get(ctx sim.Ctx, key, dst []byte) ([]byte, bool) {
 	node, _ := st.find(ctx, key)
 	if node == 0 {
@@ -197,8 +193,6 @@ func (st *store) get(ctx sim.Ctx, key, dst []byte) ([]byte, bool) {
 
 // writeNode fills a freshly allocated node (inside the caller's open
 // transaction) and returns it linked to next.
-//
-//pmlint:hot
 func (st *store) writeNode(ctx sim.Ctx, node mem.Addr, key, val []byte, valCap uint64, next mem.Addr) {
 	ctx.Store(node+nodeOffNext, mem.Word(next))
 	ctx.Store(node+nodeOffKeyLen, mem.Word(len(key)))
@@ -213,8 +207,6 @@ func (st *store) writeNode(ctx sim.Ctx, node mem.Addr, key, val []byte, valCap u
 // applyPut inserts or updates key → val. Must be called inside an open
 // transaction; the caller has preflighted heap headroom (see putHeadroom),
 // so allocation cannot fail mid-transaction.
-//
-//pmlint:hot
 func (st *store) applyPut(ctx sim.Ctx, key, val []byte) error {
 	node, linkSlot := st.find(ctx, key)
 	if node != 0 {
@@ -258,8 +250,6 @@ func (st *store) applyPut(ctx sim.Ctx, key, val []byte) error {
 }
 
 // applyDel unlinks key's node. Must be called inside an open transaction.
-//
-//pmlint:hot
 func (st *store) applyDel(ctx sim.Ctx, key []byte) bool {
 	node, linkSlot := st.find(ctx, key)
 	if node == 0 {
@@ -286,8 +276,6 @@ func (st *store) heapRemaining() uint64 {
 }
 
 // put runs one PUT as a single persistent transaction.
-//
-//pmlint:hot
 func (st *store) put(ctx sim.Ctx, key, val []byte) error {
 	if putHeadroom(key, val) > st.heapRemaining() {
 		return fmt.Errorf("server: shard heap full (%d of %d bytes used)",
@@ -300,8 +288,6 @@ func (st *store) put(ctx sim.Ctx, key, val []byte) error {
 }
 
 // del runs one DEL as a single persistent transaction.
-//
-//pmlint:hot
 func (st *store) del(ctx sim.Ctx, key []byte) bool {
 	ctx.TxBegin()
 	ok := st.applyDel(ctx, key)
@@ -311,8 +297,6 @@ func (st *store) del(ctx sim.Ctx, key []byte) bool {
 
 // txn applies a PUT/DEL batch atomically in one persistent transaction:
 // either every sub-op's effect survives a crash or none does.
-//
-//pmlint:hot
 func (st *store) txn(ctx sim.Ctx, ops []Op) error {
 	var need uint64
 	for _, op := range ops {
