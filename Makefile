@@ -2,13 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet pmlint trace trace-test bench-baseline perf doctor chaos pulse scope scope-reports fuzz ci
+.PHONY: all build test race lint fmt vet pmlint trace bench-baseline perf chaos scope-reports fuzz ci
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# test and race run every end-to-end smoke with the rest of the suite:
+# the `pmctl trace` round trip, the flight-recorder doctor chain
+# (DESIGN.md §12), the pulse and scope telemetry chains (§15, §16) and
+# the `pmctl top` / `pmctl scope` surfaces. None skips itself.
 test:
 	$(GO) test ./...
 
@@ -41,11 +45,6 @@ pmlint:
 trace:
 	$(GO) run ./cmd/pmctl trace -bench hash -mode fwb -threads 2 -log-kb 32 -o trace.json
 
-# trace-test is the `pmctl trace` round-trip acceptance test (also part of
-# `test`, but gated explicitly so ci fails loudly if the exporter breaks).
-trace-test:
-	$(GO) test ./cmd/pmctl -run 'TestRoundTrip|TestStdoutMode|TestBadFlags' -count=1
-
 # bench-baseline regenerates the committed microbenchmark grid dump
 # (the 1- and 2-thread rows BENCH_micro.json holds). The simulator is
 # deterministic, so a diff here means behavior changed.
@@ -65,13 +64,6 @@ perf:
 	$(GO) test ./internal/nvlog ./internal/server ./internal/sim -run 'ZeroAlloc|HandOffGuard' -count=1
 	bash benchmark/run.sh -short
 
-# doctor is the flight-recorder smoke (DESIGN.md §12): boot a server,
-# push spanned traffic, capture a flight dump, and assert `pmctl doctor`
-# renders causal timelines from it. Also part of `test`, gated
-# explicitly so ci fails loudly if the forensics pipeline breaks.
-doctor:
-	$(GO) test ./cmd/pmctl -run TestDoctorSmoke -count=1
-
 # chaos is the fixed-seed fault-injection campaign (DESIGN.md §13):
 # the full scenario matrix (torn log lines, partial drains, dropped and
 # delayed write-backs, bank stalls, combined, network faults) swept
@@ -81,29 +73,6 @@ doctor:
 chaos:
 	mkdir -p chaos-out
 	$(GO) run ./cmd/pmchaos -seeds 20 -dir chaos-out -o chaos-out/chaos-report.json
-
-# pulse is the live-telemetry smoke (DESIGN.md §15): the /pulse.json
-# schema round-trip, the end-to-end chain (spanned traffic → closed
-# window → stage waterfall accounting for the e2e p99 → exemplar
-# resolvable in a flight dump → OpenMetrics gauges), and a `pmctl top
-# -once` golden frame rendered against a live server. Also part of `test`,
-# gated explicitly so ci fails loudly if the operator surface breaks.
-pulse:
-	$(GO) test ./internal/obs/pulse -run TestPulseSchemaRoundTrip -count=1
-	$(GO) test ./internal/server -run 'TestPulseEndToEnd|TestHealthzDegraded' -count=1
-	$(GO) test ./cmd/pmctl -run 'TestRenderFixture|TestOnceAgainstLiveServer' -count=1
-
-# scope is the persistence-cost accounting gate (DESIGN.md §16): the
-# scope ledger unit tests (zero-alloc steady state under race included),
-# the /pulse.json v2 golden round-trip + v1 decode compat + wrap
-# forecast, the live e2e (zipfian coalescible above uniform; wrap
-# forecast within ±25% of an observed wrap, counted in windows), and the
-# `pmctl scope` / `pmctl top` analyzer surfaces.
-scope:
-	$(GO) test -race ./internal/obs/scope -count=1
-	$(GO) test ./internal/obs/pulse -run 'TestScopeGoldenRoundTrip|TestDocDecodeV1Compat|TestScopeWrapForecast' -count=1
-	$(GO) test ./internal/server -run 'TestScopeCoalescibleZipfVsUniform|TestScopeWrapForecastLive' -count=1
-	$(GO) test ./cmd/pmctl -run 'Scope|Residency|Render|Once' -count=1
 
 # scope-reports prices every flight dump that DUMPS matches with `pmctl
 # scope -json`, writing <dump>.scope.json beside each. A dump that fails
@@ -132,4 +101,4 @@ fuzz:
 		$(GO) test $${f%%:*} -run '^$$' -fuzz "^$${f##*:}$$" -fuzztime 10s; \
 	done
 
-ci: build lint test race trace-test bench-baseline perf doctor chaos pulse scope fuzz
+ci: build lint test race bench-baseline perf chaos fuzz

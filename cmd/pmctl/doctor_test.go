@@ -17,7 +17,7 @@ import (
 	"pmemlog/internal/txn"
 )
 
-// TestDoctorSmoke is the end-to-end smoke `make doctor` runs in CI:
+// TestDoctorSmoke is the end-to-end flight-recorder smoke:
 // boot a real server, push spanned traffic through it, capture a
 // flight dump mid-flight, and assert pmctl doctor renders each span's
 // stage marks and the machine timeline its tag selects.

@@ -1,16 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"pmemlog/internal/flight"
 	"pmemlog/internal/mem"
 	"pmemlog/internal/nvlog"
+	"pmemlog/internal/obs/pulse"
 )
 
 // declareScope is `pmctl scope`, the offline persistence-cost analyzer:
@@ -28,16 +28,17 @@ import (
 //
 // Two evidence layers, cross-referenced when both exist:
 //
-//   - The dump's embedded /metrics snapshot carries the pmserver_scope_*
-//     gauges the live server computed from its pulse windows — rates and
-//     fractions over the final telemetry window.
+//   - The dump's embedded pulse document carries the scope section the
+//     live server computed over its last closed telemetry window — the
+//     same rates and fractions /pulse.json served.
 //   - The shard log images are ground truth for residency: every log
 //     region is read exactly as recovery would read it (nvlog.Walk) and the
 //     replay is priced from what is durably there, not from what the dying
 //     server believed.
 //
 // Exit status: 0 on success, 2 on usage or input errors. Missing images
-// degrade the report (metrics-only), they do not fail it.
+// or a dump taken before any window closed degrade the report, they do
+// not fail it.
 func declareScope(fs *flag.FlagSet) func(*env) int {
 	in := declareDumpInput(fs)
 	return func(e *env) int {
@@ -45,12 +46,18 @@ func declareScope(fs *flag.FlagSet) func(*env) int {
 		if !ok {
 			return 2
 		}
-		rep := &Report{
-			Dump:    *in.path,
-			Reason:  d.Reason,
-			Mode:    d.Mode,
-			Shards:  d.Shards,
-			Metrics: scopeSeries(d.Metrics),
+		rep := &Report{Dump: *in.path, Reason: d.Reason, Mode: d.Mode, Shards: d.Shards}
+		if len(d.Pulse) > 0 {
+			var doc pulse.Doc
+			if err := json.Unmarshal(d.Pulse, &doc); err != nil {
+				e.errorf("%s: pulse window: %v", *in.path, err)
+				return 2
+			}
+			if doc.Version != pulse.DocVersion {
+				e.errorf("%s: pulse window version %d, pmctl scope speaks %d", *in.path, doc.Version, pulse.DocVersion)
+				return 2
+			}
+			rep.Live = &doc.Scope
 		}
 		if open != nil {
 			for _, st := range d.ShardStates {
@@ -82,21 +89,14 @@ type Report struct {
 	Mode   string `json:"mode,omitempty"`
 	Shards int    `json:"shards"`
 
-	// Metrics is every pmserver_scope_* series from the dump's embedded
-	// /metrics snapshot — the live collector's last word.
-	Metrics []Series `json:"metrics,omitempty"`
+	// Live is the scope section of the dump's last pulse window — the
+	// live collector's last word; absent when no window had closed.
+	Live *pulse.ScopeDoc `json:"live,omitempty"`
 
 	// Residency is the ground-truth log-image scan, one entry per shard
 	// whose image was reachable.
 	Residency   []ShardResidency `json:"residency,omitempty"`
 	ImageErrors []string         `json:"image_errors,omitempty"`
-}
-
-// Series is one Prometheus sample from the dump's metrics snapshot.
-type Series struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Value  float64 `json:"value"`
 }
 
 // ShardResidency prices one shard's durable log: what recovery would
@@ -146,40 +146,6 @@ type ShardResidency struct {
 
 	Occupancy float64 `json:"occupancy"`
 	Pass      uint64  `json:"pass"`
-}
-
-// scopeSeries extracts every pmserver_scope_* sample from a Prometheus
-// text exposition. The format is line-oriented: comments start with #,
-// samples are `name{labels} value` or `name value`.
-func scopeSeries(metrics string) []Series {
-	var out []Series
-	for _, line := range strings.Split(metrics, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") ||
-			!strings.HasPrefix(line, "pmserver_scope_") {
-			continue
-		}
-		name := line
-		labels := ""
-		if i := strings.IndexByte(line, '{'); i >= 0 {
-			j := strings.LastIndexByte(line, '}')
-			if j < i {
-				continue
-			}
-			name, labels = line[:i], line[i+1:j]
-			line = name + line[j+1:]
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, Series{Name: fields[0], Labels: labels, Value: v})
-	}
-	return out
 }
 
 // scanShard reads one shard's image and prices its durable log.
@@ -256,17 +222,11 @@ func printReport(out io.Writer, r *Report) {
 	fmt.Fprintf(out, "pmscope %s  reason=%s  mode=%s  shards=%d\n",
 		r.Dump, r.Reason, r.Mode, r.Shards)
 
-	if len(r.Metrics) > 0 {
-		fmt.Fprintf(out, "\nlive scope gauges (last pulse window before the dump):\n")
-		for _, s := range r.Metrics {
-			name := strings.TrimPrefix(s.Name, "pmserver_")
-			if s.Labels != "" {
-				name += "{" + s.Labels + "}"
-			}
-			fmt.Fprintf(out, "  %-56s %g\n", name, s.Value)
-		}
+	if r.Live != nil {
+		fmt.Fprintf(out, "\nlive scope (last pulse window before the dump):\n")
+		renderScope(out, r.Live, 80)
 	} else {
-		fmt.Fprintf(out, "\nno scope gauges in the dump's metrics snapshot\n")
+		fmt.Fprintf(out, "\nthe dump has no pulse window (none had closed)\n")
 	}
 
 	for i := range r.Residency {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +14,15 @@ import (
 	"pmemlog/internal/flight"
 	"pmemlog/internal/mem"
 	"pmemlog/internal/nvlog"
+	"pmemlog/internal/obs/pulse"
 	"pmemlog/internal/server"
 	"pmemlog/internal/txn"
 )
 
 // TestScopeSmoke is the end-to-end smoke: boot a real server, drive
-// traffic, close a pulse window, scrape /metrics (which publishes the
-// scope gauges into the registry the flight dump snapshots), dump, and
-// assert pmctl scope reports the live gauges.
+// traffic, close a pulse window, dump with no scrape before it, and
+// assert pmctl scope reports the scope section of the pulse document the
+// dump embeds, in text and -json.
 func TestScopeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{
@@ -47,7 +49,7 @@ func TestScopeSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No /metrics scrape: the dump must render the scope gauges itself.
+	// No scrape: the dump must carry the closed window itself.
 	srv.Pulse().Tick()
 
 	dumpPath := filepath.Join(dir, "flight-dump.json")
@@ -55,21 +57,53 @@ func TestScopeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	d, err := flight.LoadDump(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc pulse.Doc
+	if err := json.Unmarshal(d.Pulse, &doc); err != nil {
+		t.Fatalf("dump's pulse window: %v (%d bytes)", err, len(d.Pulse))
+	}
+	if doc.WindowsAggregated != 1 || len(doc.Scope.Shards) != cfg.Shards || doc.Scope.PayloadBytesPerSec <= 0 {
+		t.Fatalf("dump's pulse window has no scope accounting: %+v", doc)
+	}
+	var panel bytes.Buffer
+	renderScope(&panel, &doc.Scope, 80)
+
 	var out bytes.Buffer
 	if code := run([]string{"scope", dumpPath}, &out, &out); code != 0 {
 		t.Fatalf("pmctl scope exited %d:\n%s", code, out.String())
 	}
 	text := out.String()
-	for _, want := range []string{
-		"reason=manual",
-		"live scope gauges",
-		"scope_write_amp_milli",
-		"scope_shard_write_amp_milli{shard=\"0\"}",
-		"scope_shard_wrap_eta_seconds",
-	} {
+	for _, want := range []string{"reason=manual", "live scope (last pulse window", panel.String()} {
 		if !strings.Contains(text, want) {
 			t.Errorf("pmctl scope output missing %q:\n%s", want, text)
 		}
+	}
+
+	out.Reset()
+	if code := run([]string{"scope", "-json", dumpPath}, &out, &out); code != 0 {
+		t.Fatalf("pmctl scope -json exited %d:\n%s", code, out.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("-json output unparsable: %v\n%s", err, out.String())
+	}
+	if rep.Live == nil || !reflect.DeepEqual(*rep.Live, doc.Scope) {
+		t.Fatalf("-json live scope %+v, the dump's window says %+v", rep.Live, doc.Scope)
+	}
+}
+
+// TestScopeParentFormatDump reads a dump written before dumps carried a
+// pulse window: the report says so and the command still succeeds.
+func TestScopeParentFormatDump(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"scope", "testdata/parent-dump.json"}, &out, &out); code != 0 {
+		t.Fatalf("pmctl scope exited %d:\n%s", code, out.String())
+	}
+	if text := out.String(); !strings.Contains(text, "the dump has no pulse window") {
+		t.Fatalf("pmctl scope output does not say the window is missing:\n%s", text)
 	}
 }
 
@@ -127,10 +161,10 @@ func TestResidencyScan(t *testing.T) {
 			Shard: 0, LogBases: []uint64{uint64(logBase)}, ImagePath: imgPath,
 			LogTail: 6, LogCap: 512,
 		}},
-		Metrics: "# HELP pmserver_scope_write_amp_milli x\n" +
-			"pmserver_scope_write_amp_milli 6350\n" +
-			"pmserver_scope_shard_coalescible_milli{shard=\"0\"} 250\n" +
-			"pmserver_requests_total{op=\"put\"} 10\n", // not a scope series
+	}
+	live := pulse.ScopeDoc{WriteAmp: 6.35, Shards: []pulse.ScopeShardDoc{{Shard: 0, CoalescibleFraction: 0.25}}}
+	if d.Pulse, err = json.Marshal(pulse.Doc{Version: pulse.DocVersion, WindowsAggregated: 1, Scope: live}); err != nil {
+		t.Fatal(err)
 	}
 	dumpPath := filepath.Join(dir, "flight-dump.json")
 	if err := flight.WriteDump(dumpPath, d); err != nil {
@@ -146,14 +180,8 @@ func TestResidencyScan(t *testing.T) {
 		t.Fatalf("-json output unparsable: %v\n%s", err, out.String())
 	}
 
-	if len(rep.Metrics) != 2 {
-		t.Fatalf("scope series: %+v", rep.Metrics)
-	}
-	if rep.Metrics[0].Name != "pmserver_scope_write_amp_milli" || rep.Metrics[0].Value != 6350 {
-		t.Fatalf("series 0: %+v", rep.Metrics[0])
-	}
-	if rep.Metrics[1].Labels != `shard="0"` || rep.Metrics[1].Value != 250 {
-		t.Fatalf("series 1: %+v", rep.Metrics[1])
+	if rep.Live == nil || !reflect.DeepEqual(*rep.Live, live) {
+		t.Fatalf("live scope: %+v, want %+v", rep.Live, live)
 	}
 
 	if len(rep.Residency) != 1 {

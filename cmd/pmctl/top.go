@@ -150,7 +150,7 @@ func render(w io.Writer, d *pulse.Doc, width int) {
 	// and the wrap forecast. This is the paper's economics live: how many
 	// NVRAM bytes each payload byte really costs, and how long the
 	// circular log can absorb it.
-	renderScope(w, d, width)
+	renderScope(w, &d.Scope, width)
 
 	// Stage waterfall: where the e2e p99 is spent. Bars scale to the
 	// whole e2e p99, so stacked lengths read as shares of the tail.
@@ -194,10 +194,9 @@ func render(w io.Writer, d *pulse.Doc, width int) {
 	}
 }
 
-// renderScope draws the persistence panel from the document's scope
-// section.
-func renderScope(w io.Writer, d *pulse.Doc, width int) {
-	sc := &d.Scope
+// renderScope draws the persistence panel from a document's scope
+// section (pmctl scope draws a dump's last window with it too).
+func renderScope(w io.Writer, sc *pulse.ScopeDoc, width int) {
 	if len(sc.Shards) == 0 {
 		return
 	}

@@ -235,7 +235,9 @@ func runGrid(run func(string, Mode, int, Params) (Run, error), names []string, t
 	return rs, nil
 }
 
-// cell formats a metric or "-" when the run is missing.
+// gridTable lays out one row per benchmark and thread count (those with
+// an unsafe-base run) and one column per mode, each cell metric(run,
+// unsafe-base run) or "-" when that mode's run is missing.
 func gridTable(rs *RunSet, threadCounts []int, modes []Mode,
 	metric func(r, base Run) float64) *Table {
 

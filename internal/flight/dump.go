@@ -74,10 +74,15 @@ type Dump struct {
 	RingStats []obs.RingStat `json:"ring_stats,omitempty"`
 	Events    []Event        `json:"events"`
 
-	// Metrics is the registry's Prometheus text exposition. Registry
-	// handles are plain atomics, so rendering it is safe even when the
-	// shards themselves are wedged or mid-panic.
+	// Metrics is the /metrics document: cumulative series and gauges
+	// read from atomics and published views, so rendering it is safe
+	// even when the shards themselves are wedged or mid-panic.
 	Metrics string `json:"metrics,omitempty"`
+
+	// Pulse is the last closed telemetry window, the document
+	// /pulse.json?windows=1 serves (a pulse.Doc: raw here because pulse
+	// imports this package); absent when no window had closed.
+	Pulse json.RawMessage `json:"pulse,omitempty"`
 
 	ShardStates []ShardState `json:"shard_states"`
 

@@ -10,10 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// The metrics registry. Registration (Counter/Gauge/Histogram lookup)
-// takes a mutex and may allocate, so it belongs in setup code; the
-// returned handles are all-atomic and safe to hammer from shard hot
-// paths — Add, Set, and Observe never lock and never allocate.
+// The metrics registry holds the cumulative series: counters and
+// histograms registered once, at setup (the server registers in Start
+// only), whose all-atomic handles are safe to hammer from shard hot
+// paths — Add and Observe never lock and never allocate. A value
+// computed when the document is rendered is never stored here: the
+// renderer writes it with a GaugeWriter beside the registry's output.
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -28,20 +30,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value; it may go down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is one bucket per possible bit length of a uint64, so
 // bucket b counts observations v with bits.Len64(v) == b, i.e. v in
@@ -265,7 +253,6 @@ type metric struct {
 	labels string
 	help   string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -296,9 +283,8 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*metric)}
 }
 
+// lookup finds or creates the series (name, labels); r.mu is held.
 func (r *Registry) lookup(name, labels, help string) *metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	key := name + "{" + labels + "}"
 	if m, ok := r.index[key]; ok {
 		return m
@@ -314,6 +300,8 @@ func (r *Registry) lookup(name, labels, help string) *metric {
 // as `op="get"`, or "" for none. Registration locks; call it at setup
 // time and keep the handle.
 func (r *Registry) Counter(name, labels, help string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.lookup(name, labels, help)
 	if m.c == nil {
 		m.c = &Counter{}
@@ -321,17 +309,10 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	return m.c
 }
 
-// Gauge returns the gauge registered under (name, labels).
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	m := r.lookup(name, labels, help)
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
-}
-
 // Histogram returns the histogram registered under (name, labels).
 func (r *Registry) Histogram(name, labels, help string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.lookup(name, labels, help)
 	if m.h == nil {
 		m.h = &Histogram{}
@@ -377,23 +358,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (m *metric) typeName() string {
-	switch {
-	case m.c != nil:
+	if m.c != nil {
 		return "counter"
-	case m.g != nil:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "histogram"
 }
 
 func (m *metric) write(w io.Writer) error {
 	switch {
 	case m.c != nil:
 		_, err := fmt.Fprintf(w, "%s %d\n", m.series("", ""), m.c.Value())
-		return err
-	case m.g != nil:
-		_, err := fmt.Fprintf(w, "%s %d\n", m.series("", ""), m.g.Value())
 		return err
 	case m.h != nil:
 		return m.writeHistogram(w)
@@ -433,4 +407,41 @@ func (m *metric) writeHistogram(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "%s %d\n", m.series("_count", ""), h.Count())
 	return err
+}
+
+// GaugeWriter writes gauges whose values are computed at render time in
+// the registry's text format, straight to W: one HELP/TYPE group per
+// Gauge call. The first write error sticks in Err, and later calls
+// write nothing.
+type GaugeWriter struct {
+	W   io.Writer
+	Err error
+}
+
+// Sample is one gauge series: a raw label list ("" for none) and its
+// value.
+type Sample struct {
+	Labels string
+	Value  uint64
+}
+
+// Gauge writes one gauge name with its samples; no samples, no group.
+func (g *GaugeWriter) Gauge(name, help string, samples ...Sample) {
+	if len(samples) == 0 {
+		return
+	}
+	g.printf("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	for _, s := range samples {
+		if s.Labels == "" {
+			g.printf("%s %d\n", name, s.Value)
+		} else {
+			g.printf("%s{%s} %d\n", name, s.Labels, s.Value)
+		}
+	}
+}
+
+func (g *GaugeWriter) printf(format string, args ...any) {
+	if g.Err == nil {
+		_, g.Err = fmt.Fprintf(g.W, format, args...)
+	}
 }

@@ -474,8 +474,6 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	c := r.Counter("pm_requests_total", `op="get"`, "requests served")
 	c.Add(3)
 	r.Counter("pm_requests_total", `op="put"`, "requests served").Inc()
-	g := r.Gauge("pm_queue_depth", "", "queued requests")
-	g.Set(7)
 	h := r.Histogram("pm_latency_ns", `op="get"`, "request latency")
 	h.Observe(100)
 	h.Observe(3000)
@@ -484,13 +482,20 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	g := GaugeWriter{W: &buf}
+	g.Gauge("pm_queue_depth", "queued requests", Sample{Value: 7})
+	g.Gauge("pm_shard_batches", "batches run", Sample{`shard="0"`, 4}, Sample{`shard="1"`, 5})
+	g.Gauge("pm_trace_emitted", "no samples, no group")
+	if g.Err != nil {
+		t.Fatal(g.Err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE pm_requests_total counter",
 		`pm_requests_total{op="get"} 3`,
 		`pm_requests_total{op="put"} 1`,
-		"# TYPE pm_queue_depth gauge",
-		"pm_queue_depth 7",
+		"# HELP pm_queue_depth queued requests\n# TYPE pm_queue_depth gauge\npm_queue_depth 7\n",
+		"# TYPE pm_shard_batches gauge\npm_shard_batches{shard=\"0\"} 4\npm_shard_batches{shard=\"1\"} 5\n",
 		"# TYPE pm_latency_ns histogram",
 		`pm_latency_ns_bucket{op="get",le="+Inf"} 2`,
 		`pm_latency_ns_sum{op="get"} 3100`,
@@ -499,6 +504,9 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "pm_trace_emitted") {
+		t.Fatalf("a gauge with no samples wrote a group:\n%s", out)
 	}
 	// Cumulative le buckets must be non-decreasing and the registry
 	// must hand back the same series on re-lookup.

@@ -133,7 +133,7 @@ type point struct {
 
 // Collector is the windowed aggregation engine. Track* registration
 // happens at setup, before the first Tick; Tick and the read side
-// (BuildDoc, ShardPressure) may race freely with the request path —
+// (BuildDoc) may race freely with the request path —
 // every source is atomic or a published copy, and the ring is
 // mutex-guarded off the hot path.
 type Collector struct {
@@ -330,27 +330,6 @@ func (c *Collector) Windows() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pos
-}
-
-// ShardPressure reports shard i's most recent completed window: wrap
-// rate in log passes/sec and queue fill fraction. ok=false before the
-// first completed window or for an unknown shard — callers (the
-// /healthz degraded gate) must treat that as healthy, not degraded.
-func (c *Collector) ShardPressure(i int) (wrapPerSec, queueFrac float64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pos == 0 || i < 0 || i >= c.cfg.Shards {
-		return 0, 0, false
-	}
-	end, start := c.point(c.pos), c.point(c.pos-1)
-	s := &end.shards[i]
-	if secs := float64(end.ns-start.ns) / 1e9; secs > 0 {
-		wrapPerSec = wraps(s, satSub(s.LogTail, start.shards[i].LogTail)) / secs
-	}
-	if s.QueueCap > 0 {
-		queueFrac = float64(s.QueueLen) / float64(s.QueueCap)
-	}
-	return wrapPerSec, queueFrac, true
 }
 
 // retained reports how many completed windows the ring still holds.

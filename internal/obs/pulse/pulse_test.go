@@ -139,12 +139,13 @@ func TestPulseWindowedValues(t *testing.T) {
 	if occ := d.Shards[0].LogOccupancy; occ != 0.5 {
 		t.Fatalf("aggregate occupancy is not the newest gauge: %v", occ)
 	}
-	wrap, qf, ok := c.ShardPressure(0)
-	if !ok || wrap != 0 || qf != 0.25 {
-		t.Fatalf("shard pressure: wrap=%v queue=%v ok=%v", wrap, qf, ok)
+	// The latest window alone, as /healthz's degraded gate reads it.
+	last := c.BuildDoc(1).Shards
+	if len(last) != len(shards.samples) {
+		t.Fatalf("latest window has %d shards, collector tracks %d", len(last), len(shards.samples))
 	}
-	if _, _, ok := c.ShardPressure(99); ok {
-		t.Fatal("unknown shard reported ok")
+	if wrap, qf := last[0].WrapRatePerSec, float64(last[0].QueueLen)/float64(last[0].QueueCap); wrap != 0 || qf != 0.25 {
+		t.Fatalf("shard pressure: wrap=%v queue=%v", wrap, qf)
 	}
 }
 
@@ -152,8 +153,8 @@ func TestPulseBeforeFirstTick(t *testing.T) {
 	clk := &fakeClock{}
 	shards := &testShards{samples: make([]ShardSample, 1)}
 	c, _, _, _, _ := newTestCollector(clk, shards, obs.NewRegistry())
-	if _, _, ok := c.ShardPressure(0); ok {
-		t.Fatal("pressure ok before first tick")
+	if s := c.BuildDoc(1).Shards; len(s) != 0 {
+		t.Fatalf("shard pressure before first tick: %+v", s)
 	}
 	d := c.BuildDoc(4)
 	if d.WindowsAggregated != 0 || d.WindowsRetained != 0 {

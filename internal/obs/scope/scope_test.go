@@ -141,7 +141,7 @@ func TestCountersNilSafe(t *testing.T) {
 
 // TestScopeZeroAllocSteadyState is the acceptance guard: the
 // append/FWB accounting hot paths allocate nothing per operation. Run
-// under -race by `make scope` (race instrumentation must not hide an
+// under -race by `make race` too (race instrumentation must not hide an
 // allocation the production hot path would make).
 func TestScopeZeroAllocSteadyState(t *testing.T) {
 	var c Counters

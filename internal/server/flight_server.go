@@ -50,11 +50,15 @@ func (s *Server) buildDump(reason string) *flight.Dump {
 		Chaos:        s.cfg.Chaos.Ledger(),
 	}
 	d.RingNames, d.RingStats = s.traceRings()
-	// The same document /metrics serves, rendered without waiting on a
-	// shard that may be wedged or mid-panic (see writeMetrics).
+	// The same documents /metrics and /pulse.json?windows=1 serve,
+	// rendered without waiting on a shard that may be wedged or
+	// mid-panic (see writeMetrics).
 	var buf bytes.Buffer
 	if err := s.writeMetrics(&buf); err == nil {
 		d.Metrics = buf.String()
+	}
+	if doc := s.pulseDoc(1); doc.WindowsAggregated > 0 {
+		d.Pulse, _ = json.Marshal(doc)
 	}
 	// Each shard machine's events (tx begin/commit, log appends,
 	// cache/controller events — cycle timestamps) follow the previous
@@ -129,10 +133,11 @@ func (s *Server) serveHTTP(ln net.Listener) {
 
 // healthz answers readiness from published state only: 200 while
 // serving, 503 once draining. Wrap pressure per shard comes from the
-// loop-published log pointers, the same view a dump captures;
-// the degraded gate reads the pulse collector's latest completed window
-// (a sustained view — a single busy batch cannot flap health), and
-// before the first window closes the server is simply "ok".
+// loop-published log pointers, the same view a dump captures; the
+// degraded gate reads the latest completed pulse window, the one
+// /pulse.json?windows=1 serves (a sustained view — a single busy batch
+// cannot flap health), and before the first window closes the server is
+// simply "ok".
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	rep := healthReport{
 		OK:       !s.draining.Load(),
@@ -144,7 +149,8 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	if rep.Draining {
 		rep.Status = "draining"
 	}
-	for _, sh := range s.shards {
+	window := s.pulse.BuildDoc(1).Shards // empty until a window closes
+	for i, sh := range s.shards {
 		st := sh.flightState()
 		rep.Shards = append(rep.Shards, healthShard{
 			Shard:     sh.id,
@@ -154,22 +160,21 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 			LogPass:   st.Pass(),
 			Occupancy: st.Occupancy(),
 		})
-		if rep.Draining {
+		if rep.Draining || i >= len(window) {
 			continue
 		}
-		if wrap, queueFrac, ok := s.pulse.ShardPressure(sh.id); ok {
-			if wrap > s.cfg.DegradedWrapRate {
-				rep.Status = "degraded"
-				rep.Reasons = append(rep.Reasons, fmt.Sprintf(
-					"shard %d: log wrap rate %.2f passes/s over threshold %.2f (reclamation pressure)",
-					sh.id, wrap, s.cfg.DegradedWrapRate))
-			}
-			if queueFrac > s.cfg.DegradedQueue {
-				rep.Status = "degraded"
-				rep.Reasons = append(rep.Reasons, fmt.Sprintf(
-					"shard %d: queue %.0f%% full over threshold %.0f%%",
-					sh.id, 100*queueFrac, 100*s.cfg.DegradedQueue))
-			}
+		sd := &window[i]
+		if sd.WrapRatePerSec > s.cfg.DegradedWrapRate {
+			rep.Status = "degraded"
+			rep.Reasons = append(rep.Reasons, fmt.Sprintf(
+				"shard %d: log wrap rate %.2f passes/s over threshold %.2f (reclamation pressure)",
+				sh.id, sd.WrapRatePerSec, s.cfg.DegradedWrapRate))
+		}
+		if queueFrac := float64(sd.QueueLen) / float64(max(sd.QueueCap, 1)); queueFrac > s.cfg.DegradedQueue {
+			rep.Status = "degraded"
+			rep.Reasons = append(rep.Reasons, fmt.Sprintf(
+				"shard %d: queue %.0f%% full over threshold %.0f%%",
+				sh.id, 100*queueFrac, 100*s.cfg.DegradedQueue))
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -67,29 +67,54 @@ func (s *Server) traceRings() (names []string, rings []obs.RingStat) {
 }
 
 // writeMetrics renders the one Prometheus text-format document the
-// OpMetrics reply, HTTP /metrics and a flight dump all carry: gauges set
-// at render time (machine counters, tracer and span accounting, the
-// latest pulse window) beside the request-path counters and latency
-// histograms, which are live registry handles updated on the request
-// path. None of it waits on a shard loop, so a dump of a wedged or
-// panicking shard renders it too.
+// OpMetrics reply, HTTP /metrics and a flight dump all carry: the
+// registry's cumulative series (request counters, latency histograms —
+// live handles updated on the request path), then the gauges computed
+// here at render time, written straight to w: the machine counters each
+// shard's published view carries (the same values /pulse.json, /healthz,
+// the stats document and a flight dump read), and the tracer and span
+// accounting. Rendering writes no shared state and none of it waits on
+// a shard loop, so scrapes run concurrently and a dump of a wedged or
+// panicking shard renders it too. Windowed rates live in /pulse.json.
 func (s *Server) writeMetrics(w io.Writer) error {
-	s.viewGauges()
-	set := s.setGauge
+	if err := s.reg.WritePrometheus(w); err != nil {
+		return err
+	}
+	g := obs.GaugeWriter{W: w}
+	one := func(name, help string, v uint64) { g.Gauge(name, help, obs.Sample{Value: v}) }
+	one("pmserver_connections_accepted", "TCP connections accepted since start", s.accepted.Load())
+	one("pmserver_cross_shard_rejects", "TXN batches rejected for spanning shards", s.crossShard.Load())
+	views, sum := s.views()
+	queued, batches, saves := make([]obs.Sample, len(views)), make([]obs.Sample, len(views)), make([]obs.Sample, len(views))
+	for i, sh := range s.shards {
+		lbl, v := fmt.Sprintf("shard=\"%d\"", sh.id), &views[i]
+		queued[i] = obs.Sample{Labels: lbl, Value: uint64(v.QueueLen)}
+		batches[i] = obs.Sample{Labels: lbl, Value: v.Batches}
+		saves[i] = obs.Sample{Labels: lbl, Value: v.Saves}
+	}
+	g.Gauge("pmserver_shard_queue_len", "requests waiting in the shard queue", queued...)
+	g.Gauge("pmserver_shard_batches", "request batches executed", batches...)
+	g.Gauge("pmserver_shard_saves", "atomic image saves taken", saves...)
+	one("pmserver_keys", "live keys across all shards", sum.Keys)
+	one("pmserver_txns_committed", "transactions committed on the simulated machines", sum.Txns)
+	one("pmserver_log_appends", "undo+redo log records appended", sum.LogAppends)
+	one("pmserver_log_truncated", "log records reclaimed by truncation", sum.LogTruncated)
+	one("pmserver_fwb_scans", "force write-back scans completed", sum.FwbScans)
+	one("pmserver_nvram_write_bytes", "bytes written to simulated NVRAM", sum.NVRAMWriteBytes)
+
 	names, rings := s.traceRings()
+	emitted, dropped := make([]obs.Sample, len(rings)), make([]obs.Sample, len(rings))
 	for i, rs := range rings {
 		lbl := fmt.Sprintf("ring=%q", strings.ReplaceAll(names[i], " ", "-"))
-		set("pmserver_trace_emitted", lbl, "trace events emitted into this ring since start", rs.Emitted)
-		set("pmserver_trace_dropped", lbl, "trace events overwritten before any snapshot read them", rs.Dropped)
+		emitted[i] = obs.Sample{Labels: lbl, Value: rs.Emitted}
+		dropped[i] = obs.Sample{Labels: lbl, Value: rs.Dropped}
 	}
-	set("pmserver_span_drops", "", "requests not span-tracked because the flight table was full", s.flight.Drops())
-	set("pmserver_spans_in_flight", "", "request spans currently in flight", uint64(s.flight.InFlightCount()))
-	set("pmserver_slow_spans_captured", "", "slow-request span snapshots retained by tail sampling", s.flight.SlowCaptured())
-	if d := s.pulse.BuildDoc(1); d.WindowsAggregated > 0 {
-		s.pulseGauges(d)
-		s.scopeGauges(d)
-	}
-	return s.reg.WritePrometheus(w)
+	g.Gauge("pmserver_trace_emitted", "trace events emitted into this ring since start", emitted...)
+	g.Gauge("pmserver_trace_dropped", "trace events overwritten before any snapshot read them", dropped...)
+	one("pmserver_span_drops", "requests not span-tracked because the flight table was full", s.flight.Drops())
+	one("pmserver_spans_in_flight", "request spans currently in flight", uint64(s.flight.InFlightCount()))
+	one("pmserver_slow_spans_captured", "slow-request span snapshots retained by tail sampling", s.flight.SlowCaptured())
+	return g.Err
 }
 
 // metricsResponse answers OpMetrics with writeMetrics' document.
@@ -99,35 +124,6 @@ func (s *Server) metricsResponse() Response {
 		return Response{Status: StatusErr, Err: err.Error()}
 	}
 	return Response{Status: StatusOK, Val: buf.Bytes()}
-}
-
-// setGauge sets one render-time gauge, registering it on first use.
-func (s *Server) setGauge(name, labels, help string, v uint64) {
-	s.reg.Gauge(name, labels, help).Set(int64(v))
-}
-
-// viewGauges sets the machine-level gauges (keys, txns, log traffic,
-// per-shard queue/batches/saves) from each shard's published view and
-// the sum Stats reports — the same values /pulse.json, /healthz, the
-// stats document and a flight dump read.
-func (s *Server) viewGauges() {
-	set := s.setGauge
-	set("pmserver_connections_accepted", "", "TCP connections accepted since start", s.accepted.Load())
-	set("pmserver_cross_shard_rejects", "", "TXN batches rejected for spanning shards", s.crossShard.Load())
-	views, sum := s.views()
-	for i, sh := range s.shards {
-		v := &views[i]
-		lbl := fmt.Sprintf("shard=\"%d\"", sh.id)
-		set("pmserver_shard_queue_len", lbl, "requests waiting in the shard queue", uint64(v.QueueLen))
-		set("pmserver_shard_batches", lbl, "request batches executed", v.Batches)
-		set("pmserver_shard_saves", lbl, "atomic image saves taken", v.Saves)
-	}
-	set("pmserver_keys", "", "live keys across all shards", sum.Keys)
-	set("pmserver_txns_committed", "", "transactions committed on the simulated machines", sum.Txns)
-	set("pmserver_log_appends", "", "undo+redo log records appended", sum.LogAppends)
-	set("pmserver_log_truncated", "", "log records reclaimed by truncation", sum.LogTruncated)
-	set("pmserver_fwb_scans", "", "force write-back scans completed", sum.FwbScans)
-	set("pmserver_nvram_write_bytes", "", "bytes written to simulated NVRAM", sum.NVRAMWriteBytes)
 }
 
 // noteRetry bumps both the snapshot counter and the metrics series.

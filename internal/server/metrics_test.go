@@ -2,7 +2,10 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,5 +188,79 @@ func TestServerSpanStages(t *testing.T) {
 				t.Fatalf("span %d (%s) stages not non-zero and ordered: %v", sp.ID, flight.OpName(sp.Op), stages)
 			}
 		}
+	}
+}
+
+// TestConcurrentScrapes releases every reader of the metrics document at
+// once on fresh servers: the OpMetrics reply, HTTP /metrics and a flight
+// dump, each goroutine running all three from a different start. Under
+// -race, any write the render path makes to state another scrape reads
+// (a series registered on first scrape, say) reports a data race.
+func TestConcurrentScrapes(t *testing.T) {
+	const servers, scrapers = 20, 4
+	for n := 0; n < servers; n++ {
+		cfg := testConfig(t.TempDir())
+		cfg.HTTPAddr = "127.0.0.1:0"
+		cfg.PulseInterval = time.Hour // the window below is closed by hand
+		srv, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Pulse().Tick()
+		url := "http://" + srv.HTTPAddr() + "/metrics"
+		scrape := []func() error{
+			func() error {
+				if resp := srv.metricsResponse(); resp.Status != StatusOK {
+					return fmt.Errorf("OpMetrics: %+v", resp)
+				}
+				return nil
+			},
+			func() error {
+				resp, err := http.Get(url)
+				if err != nil {
+					return err
+				}
+				defer resp.Body.Close()
+				if _, err := io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+					return fmt.Errorf("/metrics: status %d, %v", resp.StatusCode, err)
+				}
+				return nil
+			},
+			func() error {
+				if d := srv.buildDump("scrape"); d.Metrics == "" {
+					return fmt.Errorf("dump carries no metrics document")
+				}
+				return nil
+			},
+		}
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < scrapers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-release
+				for i := range scrape {
+					if err := scrape[(g+i)%len(scrape)](); err != nil {
+						t.Errorf("server %d scraper %d: %v", n, g, err)
+					}
+				}
+			}()
+		}
+		close(release)
+		wg.Wait()
+		// One HELP/TYPE group per name, whichever writer rendered it.
+		groups := map[string]int{}
+		for _, line := range strings.Split(string(srv.metricsResponse().Val), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				groups[strings.Fields(rest)[0]]++
+			}
+		}
+		for name, k := range groups {
+			if k != 1 {
+				t.Errorf("%s has %d TYPE groups", name, k)
+			}
+		}
+		srv.Shutdown()
 	}
 }

@@ -50,6 +50,11 @@ type shard struct {
 	unsaved bool             // writes committed since the last image save
 	bootRep *recovery.Report // recovery report from attach, if any
 
+	// The running batch's outcome, reset by runBatch: a request wrote, a
+	// request carries a span. Fields, not locals, so the machine-run
+	// closure that sets them does not move them to the heap.
+	wrote, anySpan bool
+
 	// Loop-owned scratch reused across batches so the steady-state batch
 	// path performs no per-batch slice allocation.
 	batch []*connReq
@@ -255,8 +260,7 @@ func (sh *shard) drain() {
 // are the responses released — the acked-durability point.
 func (sh *shard) runBatch(batch []*connReq) {
 	sh.live.Batches++
-	wrote := false
-	anySpan := false
+	sh.wrote, sh.anySpan = false, false
 	// The machine run never blocks this goroutine, so nothing in it wakes
 	// an idle processor, which then sleeps in the OS until the next
 	// connection wake-up. An empty goroutine left runnable here is stolen
@@ -275,7 +279,7 @@ func (sh *shard) runBatch(batch []*connReq) {
 				sh.sys.SetSpan(tag)
 			}
 			if sp != nil {
-				anySpan = true
+				sh.anySpan = true
 				sp.Mark(flight.StageApply, int64(sh.nowNS()))
 				_, tailBefore, _ = sh.sys.LogState()
 				_, _, commitBefore = sh.sys.LastCommit()
@@ -292,7 +296,7 @@ func (sh *shard) runBatch(batch []*connReq) {
 				sh.sys.SetSpan(0)
 			}
 			if cr.resp.Status == StatusOK && cr.req.Code != OpGet {
-				wrote = true
+				sh.wrote = true
 			}
 		}
 	})
@@ -301,7 +305,7 @@ func (sh *shard) runBatch(batch []*connReq) {
 	// is the batch's durability point (FWB drain + image persist). The
 	// marks bracket exactly the interval the pulse waterfall attributes
 	// to the "apply" and "fwb" latency stages.
-	if anySpan {
+	if sh.anySpan {
 		fwbNS := int64(sh.nowNS())
 		for _, cr := range batch {
 			if cr.span != nil {
@@ -309,8 +313,8 @@ func (sh *shard) runBatch(batch []*connReq) {
 			}
 		}
 	}
-	sh.settle(runErr, wrote, batch)
-	if anySpan {
+	sh.settle(runErr, batch)
+	if sh.anySpan {
 		durNS := int64(sh.nowNS())
 		for _, cr := range batch {
 			if cr.span != nil {
@@ -334,7 +338,7 @@ func (sh *shard) runBatch(batch []*connReq) {
 // runBatch on all paths — the ordering pmlint's ackafterdurable rule
 // proves; whether the skip-save condition (read-only batch) is right is
 // what TestFlightDumpKillRecoveryAgreement checks dynamically.
-func (sh *shard) settle(runErr error, wrote bool, batch []*connReq) {
+func (sh *shard) settle(runErr error, batch []*connReq) {
 	switch {
 	case runErr != nil:
 		// Machine fault (e.g. wedged log): the batch's effects are
@@ -342,7 +346,7 @@ func (sh *shard) settle(runErr error, wrote bool, batch []*connReq) {
 		for _, cr := range batch {
 			cr.resp = Response{Status: StatusErr, Err: "shard machine fault: " + runErr.Error()}
 		}
-	case wrote:
+	case sh.wrote:
 		sh.unsaved = true
 		if err := sh.save(); err != nil {
 			// Commits happened on the simulated machine but the image did

@@ -78,7 +78,7 @@ const (
 	FWB        = txn.FWB
 )
 
-// ErrCrashed is returned by System.Run when a scheduled crash fired.
+// ErrCrashed is returned by System.RunN when a scheduled crash fired.
 var ErrCrashed = sim.ErrCrashed
 
 // DefaultConfig returns the paper's Table II machine configuration.
